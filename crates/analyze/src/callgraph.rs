@@ -2,8 +2,8 @@
 //!
 //! Resolution is deliberately tiered and conservative — every tier
 //! either resolves a call site to workspace functions or records what
-//! it could not prove, so the passes built on top (R8 panic
-//! reachability, R10 lock order) never silently drop an edge:
+//! it could not prove, so the pass built on top (R10 lock order) and
+//! the `--call-graph` dump never silently drop an edge:
 //!
 //! 1. **Free fn** — `helper(…)` resolves through the qualified-name
 //!    table (free fns are indexed under their bare name, so imported
@@ -18,13 +18,13 @@
 //!    every workspace fn with that bare name ([`Target::Ambiguous`]).
 //!
 //! A call that matches no workspace function at all is
-//! [`Target::External`] (std or vendored code); the passes treat
-//! externals as panic-free and say so in their documented limits.
+//! [`Target::External`] (std or vendored code); R10 treats externals as
+//! acquiring no workspace lock.
 //! Macro bodies (`write!`, `format!`) are invisible by construction —
 //! the lexer blanks literals and the extractor skips `name!(…)` —
 //! which is also a documented limit, not a silent one.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use crate::items::{FnItem, ItemIndex};
 use crate::rules::File;
@@ -52,32 +52,10 @@ pub struct CallEdge {
     pub target: Target,
 }
 
-/// A construct that panics if its assumption fails (R2's class:
-/// unwrap / expect / panic-family macro / literal index).
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    pub line: usize,
-    pub col: usize,
-    pub what: String,
-}
-
-/// A site whose safety rests on a value-range argument the analyzer
-/// cannot check: div/mod with a non-literal divisor, or a non-literal
-/// slice index. These are *counted* in R8 proof notes, not flagged —
-/// the workspace's hot loops index by masked slot numbers and mod by
-/// configured capacities on nearly every line.
-#[derive(Debug, Clone)]
-pub struct AssumeSite {
-    pub line: usize,
-    pub what: String,
-}
-
-/// Per-function facts: outgoing calls plus local panic/assumption sites.
+/// Per-function facts: the outgoing calls.
 #[derive(Debug, Clone, Default)]
 pub struct FnNode {
     pub calls: Vec<CallEdge>,
-    pub panics: Vec<PanicSite>,
-    pub assumes: Vec<AssumeSite>,
 }
 
 /// The workspace call graph, indexed in parallel with `ItemIndex::fns`.
@@ -87,75 +65,13 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Extracts calls and panic/assumption facts for every indexed fn.
+    /// Extracts the calls of every indexed fn.
     pub fn build(files: &[File], idx: &ItemIndex) -> CallGraph {
         let mut nodes = Vec::with_capacity(idx.fns.len());
         for f in &idx.fns {
             nodes.push(scan_fn(files, idx, f));
         }
         CallGraph { nodes }
-    }
-
-    /// Transitive can-panic, propagated over `Known` edges only.
-    ///
-    /// `Ambiguous` edges do not propagate: a may-call set that happens
-    /// to include a panicking candidate is reported as a residual edge
-    /// by the R8 proof, not treated as a proven panic path.
-    pub fn can_panic(&self) -> Vec<bool> {
-        let mut can: Vec<bool> = self.nodes.iter().map(|n| !n.panics.is_empty()).collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..self.nodes.len() {
-                if can[i] {
-                    continue;
-                }
-                let hit = self.nodes[i].calls.iter().any(|c| match &c.target {
-                    Target::Known(t) => can[*t],
-                    _ => false,
-                });
-                if hit {
-                    can[i] = true;
-                    changed = true;
-                }
-            }
-        }
-        can
-    }
-
-    /// Every fn reachable from `root` over `Known` edges, with the BFS
-    /// parent of each (for shortest-path reconstruction).
-    pub fn reachable(&self, root: usize) -> BTreeMap<usize, Option<usize>> {
-        let mut parents: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-        parents.insert(root, None);
-        let mut queue = VecDeque::from([root]);
-        while let Some(at) = queue.pop_front() {
-            for call in &self.nodes[at].calls {
-                if let Target::Known(t) = call.target {
-                    if !parents.contains_key(&t) {
-                        parents.insert(t, Some(at));
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        parents
-    }
-
-    /// `root -> a -> b` call path text for a reachable fn.
-    pub fn path_to(
-        &self,
-        idx: &ItemIndex,
-        parents: &BTreeMap<usize, Option<usize>>,
-        mut at: usize,
-    ) -> String {
-        let mut hops = vec![idx.fns[at].qual.clone()];
-        while let Some(Some(p)) = parents.get(&at) {
-            hops.push(idx.fns[*p].qual.clone());
-            at = *p;
-        }
-        hops.reverse();
-        hops.join(" -> ")
     }
 
     /// Renders the resolved call tree under `root_qual` (exact
@@ -180,19 +96,11 @@ impl CallGraph {
         let f = &idx.fns[at];
         let pad = "  ".repeat(depth);
         let node = &self.nodes[at];
-        let facts = format!(
-            " [{} panic, {} assume]",
-            node.panics.len(),
-            node.assumes.len()
-        );
         if !seen.insert(at) {
             out.push_str(&format!("{pad}{} (…)\n", f.qual));
             return;
         }
-        out.push_str(&format!(
-            "{pad}{} ({}:{}){}\n",
-            f.qual, files[f.file].path, f.line, facts
-        ));
+        out.push_str(&format!("{pad}{} ({}:{})\n", f.qual, files[f.file].path, f.line));
         for call in &node.calls {
             match &call.target {
                 Target::Known(t) => self.dump_one(files, idx, *t, depth + 1, seen, out),
@@ -250,14 +158,7 @@ fn scan_fn(files: &[File], idx: &ItemIndex, f: &FnItem) -> FnNode {
     let mut node = FnNode::default();
     let lines = &files[f.file].lines;
     for line in &lines[f.body_start..=f.body_end] {
-        // A line vouched for by `vpir: allow(panic, …)` keeps R2's
-        // suppression semantics under R8 too.
-        let vouched = line.allow.as_ref().is_some_and(|a| a.rule == "panic");
         extract_calls(&line.code, line.number, f, idx, &mut node.calls);
-        if !vouched {
-            extract_panics(&line.code, line.number, &mut node.panics);
-        }
-        extract_assumes(&line.code, line.number, &mut node.assumes);
     }
     node
 }
@@ -452,156 +353,6 @@ fn ident_before(chars: &[char], end: usize) -> Option<String> {
     }
 }
 
-/// R2's panic-construct class, recorded as per-fn facts.
-fn extract_panics(code: &str, line: usize, out: &mut Vec<PanicSite>) {
-    for pat in [".unwrap()", ".expect("] {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(pat) {
-            out.push(PanicSite {
-                line,
-                col: from + pos + 1,
-                what: pat.trim_end_matches('(').to_string(),
-            });
-            from += pos + pat.len();
-        }
-    }
-    for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-        if crate::rules::has_macro(code, mac) {
-            out.push(PanicSite {
-                line,
-                col: code.find(mac).map_or(0, |p| p + 1),
-                what: format!("{mac}!"),
-            });
-        }
-    }
-    for idx in crate::rules::literal_indexes(code) {
-        out.push(PanicSite {
-            line,
-            col: 0,
-            what: format!("[{idx}]"),
-        });
-    }
-}
-
-/// Division/modulo with a non-literal divisor and non-literal slice
-/// indexes: assumed safe, counted per root in the R8 proof notes.
-fn extract_assumes(code: &str, line: usize, out: &mut Vec<AssumeSite>) {
-    let chars: Vec<char> = code.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
-        if c == '/' || c == '%' {
-            // Not part of `/=`-style compounds' RHS scanning below, but
-            // skip doubled operators and `->`-adjacent noise.
-            if i + 1 < chars.len() && (chars[i + 1] == '/' || chars[i + 1] == '*') {
-                continue;
-            }
-            if i > 0 && (chars[i - 1] == '/' || chars[i - 1] == '*') {
-                continue;
-            }
-            let mut j = i + 1;
-            if j < chars.len() && chars[j] == '=' {
-                j += 1; // `/=` or `%=`
-            }
-            while j < chars.len() && chars[j].is_whitespace() {
-                j += 1;
-            }
-            if j >= chars.len() {
-                continue; // operator at end of line; cannot judge
-            }
-            let rest: String = chars[j..].iter().collect();
-            if rest.starts_with(|c: char| c.is_ascii_digit()) {
-                let lit: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit() || *c == '_')
-                    .collect();
-                if lit.chars().any(|c| c != '0' && c != '_') {
-                    continue; // nonzero literal divisor: cannot panic
-                }
-            }
-            // `.max(<nonzero>)`-guarded divisors are proven nonzero.
-            if divisor_expr(&rest).contains(".max(") {
-                continue;
-            }
-            // Float division cannot panic; crude but effective filter.
-            if code.contains("f64") || code.contains("f32") {
-                continue;
-            }
-            out.push(AssumeSite {
-                line,
-                what: format!("{c} with non-literal divisor"),
-            });
-        }
-    }
-    for inner in nonliteral_indexes(code) {
-        out.push(AssumeSite {
-            line,
-            what: format!("[{inner}] bounds-assumed"),
-        });
-    }
-}
-
-/// The divisor's primary expression: identifier/path/call chain up to
-/// the next top-level operator.
-fn divisor_expr(rest: &str) -> String {
-    let mut depth = 0i32;
-    let mut out = String::new();
-    for c in rest.chars() {
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            '+' | '-' | '*' | '/' | '%' | ',' | ';' | '<' | '>' | '=' | '&' | '|' if depth == 0 => {
-                break
-            }
-            _ => {}
-        }
-        out.push(c);
-    }
-    out
-}
-
-/// Index expressions that are not integer literals (and not bare `..`,
-/// which slices the whole collection and cannot be out of bounds).
-fn nonliteral_indexes(code: &str) -> Vec<String> {
-    let chars: Vec<char> = code.chars().collect();
-    let mut out = Vec::new();
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' {
-            continue;
-        }
-        let prev = chars[..i].iter().rev().find(|c| !c.is_whitespace());
-        let is_index =
-            prev.is_some_and(|&p| p.is_alphanumeric() || p == '_' || p == ')' || p == ']');
-        if !is_index {
-            continue;
-        }
-        let mut depth = 1;
-        let mut j = i + 1;
-        while j < chars.len() && depth > 0 {
-            match chars[j] {
-                '[' => depth += 1,
-                ']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        if depth != 0 {
-            continue;
-        }
-        let inner: String = chars[i + 1..j - 1].iter().collect();
-        let trimmed = inner.trim();
-        let literal = !trimmed.is_empty() && trimmed.chars().all(|c| c.is_ascii_digit() || c == '_');
-        if trimmed.is_empty() || literal || trimmed == ".." {
-            continue;
-        }
-        out.push(trimmed.to_string());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,38 +418,6 @@ mod tests {
         );
         // `v.len()` — no workspace fn named `len`: external.
         assert_eq!(calls[1].target, Target::External);
-    }
-
-    #[test]
-    fn can_panic_propagates_over_known_edges_only() {
-        let (_, idx, g) = graph(
-            "fn deep(x: Option<u64>) -> u64 { x.unwrap() }\n\
-             fn mid() -> u64 { deep(None) }\n\
-             fn top() -> u64 { mid() }\n\
-             fn safe() -> u64 { 1 }\n",
-        );
-        let can = g.can_panic();
-        assert!(can[idx.resolve_qual("deep").unwrap()]);
-        assert!(can[idx.resolve_qual("mid").unwrap()]);
-        assert!(can[idx.resolve_qual("top").unwrap()]);
-        assert!(!can[idx.resolve_qual("safe").unwrap()]);
-    }
-
-    #[test]
-    fn assume_sites_cover_div_mod_and_dynamic_indexes() {
-        let (_, idx, g) = graph(
-            "fn f(xs: &[u64], i: usize, cap: usize) -> u64 {\n\
-                 let a = i % cap;\n\
-                 let b = i / 8;\n\
-                 let c = i / cap.max(1);\n\
-                 xs[a] + b as u64 + c as u64 + xs[2]\n\
-             }\n",
-        );
-        let n = &g.nodes[idx.resolve_qual("f").unwrap()];
-        // `% cap` and `xs[a]`; `/ 8` is a literal, `.max(1)` is guarded,
-        // `xs[2]` is a literal index (a panic site, not an assumption).
-        assert_eq!(n.assumes.len(), 2);
-        assert_eq!(n.panics.len(), 1);
     }
 
     #[test]

@@ -2,17 +2,20 @@
 
 use std::fmt::Write as _;
 
-/// The simulator invariants (R1–R7, host Rust sources) and guest-program
+/// The simulator invariants (R2–R10, host Rust sources) and guest-program
 /// structural lints (L1–L4, vpir assembly) the analyzers check.
+///
+/// The ids R1 (determinism), R6 (wall clock) and R8 (panic
+/// reachability) are retired: clippy's `disallowed_types` and panic
+/// lints enforce them, configured in `clippy.toml` and at each crate
+/// root. The remaining ids keep their numbers.
 ///
 /// The host rules are emitted by `vpir-analyze` over the workspace; the
 /// guest lints are emitted by `vpir-isa-analyze` over assembled
 /// programs. Both share this type so reports render identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// R1 — cycle-level code must not use hash-ordered collections.
-    Determinism,
-    /// R2 — pipeline hot paths must not contain panicking constructs.
+    /// R2 — panic-free crates must not index with integer literals.
     Panic,
     /// R3 — every stats field must be updated and surfaced in a report.
     Stats,
@@ -20,12 +23,8 @@ pub enum Rule {
     Config,
     /// R5 — stat counters must be u64 (no silently wrapping widths).
     Counter,
-    /// R6 — cycle-level code must not read wall-clock time.
-    WallClock,
     /// R7 — cycle-level hot state must be columnar, not `Vec<Option<…>>`.
     Columnar,
-    /// R8 — entry-point call trees must be transitively panic-free.
-    PanicReach,
     /// R9 — spawned closures must not race on shared mutable captures,
     /// and control-flow atomics must not use `Ordering::Relaxed`.
     Concurrency,
@@ -42,17 +41,14 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The short identifier (`R1` … `R6`, `L1` … `L4`).
+    /// The short identifier (`R2` … `R10`, `L1` … `L4`).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Determinism => "R1",
             Rule::Panic => "R2",
             Rule::Stats => "R3",
             Rule::Config => "R4",
             Rule::Counter => "R5",
-            Rule::WallClock => "R6",
             Rule::Columnar => "R7",
-            Rule::PanicReach => "R8",
             Rule::Concurrency => "R9",
             Rule::LockOrder => "R10",
             Rule::Unreachable => "L1",
@@ -65,14 +61,11 @@ impl Rule {
     /// The name used in `// vpir: allow(name, reason)` comments.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
             Rule::Panic => "panic",
             Rule::Stats => "stats",
             Rule::Config => "config",
             Rule::Counter => "counter",
-            Rule::WallClock => "wallclock",
             Rule::Columnar => "columnar",
-            Rule::PanicReach => "panic-reach",
             Rule::Concurrency => "concurrency",
             Rule::LockOrder => "lock-order",
             Rule::Unreachable => "unreachable",
@@ -112,29 +105,11 @@ impl Finding {
     }
 }
 
-/// A positive result from an interprocedural pass: what was *proven*
-/// (or assumed), not just what was flagged. R8 emits one per analyzed
-/// entry point so "no findings" is distinguishable from "not checked".
-#[derive(Debug, Clone)]
-pub struct ProofNote {
-    /// The emitting rule (`R8`).
-    pub rule: Rule,
-    /// The qualified root the proof covers (`Simulator::run_checked`).
-    pub root: String,
-    /// One-line verdict.
-    pub summary: String,
-    /// Residual obligations: unresolved may-call edges, assumption
-    /// counts — everything the proof is conditional on.
-    pub details: Vec<String>,
-}
-
 /// The result of analyzing one source tree.
 #[derive(Debug, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
-    /// Proof notes from the interprocedural passes.
-    pub proofs: Vec<ProofNote>,
 }
 
 impl Report {
@@ -186,12 +161,6 @@ impl Report {
                 );
             }
         }
-        for p in &self.proofs {
-            let _ = writeln!(out, "  proof {} {}: {}", p.rule.id(), p.root, p.summary);
-            for d in &p.details {
-                let _ = writeln!(out, "    - {d}");
-            }
-        }
         out
     }
 
@@ -222,26 +191,6 @@ impl Report {
                 }
                 None => out.push('}'),
             }
-        }
-        out.push_str("],\"proofs\":[");
-        for (i, p) in self.proofs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"root\":\"{}\",\"summary\":\"{}\",\"details\":[",
-                p.rule.id(),
-                escape(&p.root),
-                escape(&p.summary)
-            );
-            for (j, d) in p.details.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", escape(d));
-            }
-            out.push_str("]}");
         }
         out.push_str("]}");
         out
@@ -287,7 +236,6 @@ mod tests {
         let report = Report {
             findings: vec![finding(Rule::Panic, None), finding(Rule::Panic, Some("ok"))],
             files_scanned: 1,
-            proofs: Vec::new(),
         };
         assert_eq!(report.live().count(), 1);
         assert_eq!(report.suppressed().count(), 1);
@@ -296,13 +244,12 @@ mod tests {
     #[test]
     fn json_is_escaped() {
         let report = Report {
-            findings: vec![finding(Rule::Determinism, None)],
+            findings: vec![finding(Rule::Panic, None)],
             files_scanned: 3,
-            proofs: Vec::new(),
         };
         let json = report.to_json();
         assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"rule\":\"R1\""));
+        assert!(json.contains("\"rule\":\"R2\""));
         assert!(json.contains("\"files_scanned\":3"));
     }
 
@@ -311,7 +258,6 @@ mod tests {
         let report = Report {
             findings: vec![finding(Rule::Counter, Some("legacy"))],
             files_scanned: 2,
-            proofs: Vec::new(),
         };
         let text = report.to_text();
         assert!(text.contains("0 finding(s), 1 suppressed"));

@@ -4,7 +4,7 @@
 //! source lines; this module reads those lines back into a coarse item
 //! structure — which functions exist, which `impl` block owns each
 //! method, and what type every struct field has. That is exactly the
-//! information the interprocedural passes (R8–R10) need to resolve
+//! information the interprocedural passes (R9, R10) need to resolve
 //! calls, and deliberately nothing more: no expressions, no generics,
 //! no trait solving. Where this parser cannot tell what something is,
 //! the call-graph layer records an *unknown* node rather than guessing.

@@ -1,8 +1,8 @@
 //! A minimal Rust source scanner.
 //!
 //! The rules in [`crate::rules`] work on *code text*: source lines with
-//! comment and literal contents blanked out, so that a `HashMap` inside
-//! a doc comment or a `panic!` inside a string never produces a
+//! comment and literal contents blanked out, so that a `Vec<Option<`
+//! inside a doc comment or an `xs[0]` inside a string never produces a
 //! finding. This module performs that blanking in a single pass,
 //! records `// vpir: allow(rule, reason)` suppression comments as it
 //! strips them, and marks the lines that belong to `#[cfg(test)]`

@@ -1,21 +1,28 @@
 //! Simulator-invariant static analysis for the vpir workspace.
 //!
-//! `vpir-analyze` walks the workspace sources and checks five
-//! invariants that `rustc` and clippy cannot see because they are
+//! `vpir analyze` walks the workspace sources and checks the
+//! invariants that `rustc` and clippy cannot express, because they are
 //! facts about *this simulator*, not about Rust:
 //!
-//! - **R1 determinism** — cycle-level crates must not use hash-ordered
-//!   collections; two runs of the same experiment must be bit-equal.
-//! - **R2 panic-freedom** — pipeline hot paths must not contain
-//!   `unwrap`/`expect`/`panic!`-family macros or literal indexing.
+//! - **R2 literal indexing** — panic-free crates must not index with an
+//!   integer literal (`xs[0]`); clippy's `unwrap_used`, `expect_used`
+//!   and panic-macro lints, denied at those crate roots, cover the
+//!   rest of panic-freedom.
 //! - **R3 stats discipline** — every `*Stats` field must be updated
 //!   somewhere and surfaced by a report.
 //! - **R4 config discipline** — every config field must be read
 //!   outside its definition.
 //! - **R5 counter safety** — stat counters must be `u64`.
+//! - **R7 columnar hot state** — no `Vec<Option<…>>` fields in
+//!   cycle-level crates outside the ROB column module.
+//! - **R9 concurrency determinism** and **R10 lock order** — the
+//!   interprocedural passes in [`passes`].
+//!
+//! Determinism (R1) and wall-clock freedom (R6) are clippy's
+//! `disallowed_types`, configured in the workspace `clippy.toml`.
 //!
 //! A finding is suppressed (recorded but not fatal) by appending
-//! `// vpir: allow(rule, reason)` to the offending line. The binary
+//! `// vpir: allow(rule, reason)` to the offending line. `vpir analyze`
 //! exits nonzero when any unsuppressed finding remains, which is what
 //! makes it usable as a CI gate.
 
@@ -70,16 +77,14 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<rules::File>> {
     Ok(files)
 }
 
-/// Runs the line rules (R1–R7) and the interprocedural passes (R8–R10)
-/// over already-scanned files and returns the combined sorted report.
+/// Runs the line rules and the interprocedural passes (R9, R10) over
+/// already-scanned files and returns the combined sorted report.
 pub fn analyze_files(files: &[rules::File]) -> Report {
     let mut findings = rules::run_all(files);
-    let (inter, proofs) = passes::run_interprocedural(files);
-    findings.extend(inter);
+    findings.extend(passes::run_interprocedural(files));
     let mut report = Report {
         files_scanned: files.len(),
         findings,
-        proofs,
     };
     report.sort();
     report

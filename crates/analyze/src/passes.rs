@@ -1,152 +1,26 @@
-//! The interprocedural passes: R8 panic-reachability, R9
-//! concurrency-determinism, R10 lock-order.
+//! The interprocedural passes: R9 concurrency-determinism and R10
+//! lock-order.
 //!
 //! These run on top of the [`crate::items`] index and the
-//! [`crate::callgraph`] graph, where the line rules (R1–R7) see one
-//! line at a time. Each pass is conservative in a *reported* way:
-//! whatever it cannot resolve shows up as a residual obligation in an
-//! R8 [`ProofNote`] or is excluded by a documented limit — nothing is
-//! silently assumed resolved.
+//! [`crate::callgraph`] graph, where the line rules see one line at a
+//! time. Whatever a pass cannot resolve is excluded by a documented
+//! limit, never silently assumed resolved.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, Target};
-use crate::findings::{Finding, ProofNote, Rule};
+use crate::findings::{Finding, Rule};
 use crate::items::ItemIndex;
-use crate::rules::{emit, File};
+use crate::rules::{emit, find_word, File};
 
-/// Runs R8–R10 over the scanned files.
-pub fn run_interprocedural(files: &[File]) -> (Vec<Finding>, Vec<ProofNote>) {
+/// Runs R9 and R10 over the scanned files.
+pub fn run_interprocedural(files: &[File]) -> Vec<Finding> {
     let idx = ItemIndex::build(files);
     let graph = CallGraph::build(files, &idx);
     let mut findings = Vec::new();
-    let proofs = panic_reach(files, &idx, &graph, &mut findings);
     concurrency(files, &idx, &mut findings);
     lock_order(files, &idx, &graph, &mut findings);
-    (findings, proofs)
-}
-
-// ----------------------------------------------------------------
-// R8: panic reachability.
-// ----------------------------------------------------------------
-
-/// The entry points whose whole call tree must be panic-free: the
-/// simulator's public run loop and the ISA-level machine's. Matched by
-/// exact qualified name so fixtures can use the same shapes.
-const PANIC_ROOTS: [&str; 7] = [
-    "Simulator::run_checked",
-    "Simulator::run",
-    "Simulator::run_to_halt",
-    "Simulator::step_cycle",
-    "Machine::run_checked",
-    "Machine::run",
-    "Machine::step",
-];
-
-fn panic_reach(
-    files: &[File],
-    idx: &ItemIndex,
-    graph: &CallGraph,
-    findings: &mut Vec<Finding>,
-) -> Vec<ProofNote> {
-    let can_panic = graph.can_panic();
-    let mut proofs = Vec::new();
-    let mut emitted: BTreeSet<(usize, usize, usize, String)> = BTreeSet::new();
-    for root_qual in PANIC_ROOTS {
-        let Some(cands) = idx.by_qual.get(root_qual) else {
-            continue;
-        };
-        for &root in cands {
-            if idx.fns[root].in_test {
-                continue;
-            }
-            let parents = graph.reachable(root);
-            let mut panic_hits = 0usize;
-            let mut div_assumes = 0usize;
-            let mut idx_assumes = 0usize;
-            let mut residuals: Vec<String> = Vec::new();
-            let mut residual_keys: BTreeSet<(String, usize)> = BTreeSet::new();
-            let mut unresolved_total = 0usize;
-            for (&at, _) in &parents {
-                let f = &idx.fns[at];
-                let node = &graph.nodes[at];
-                for p in &node.panics {
-                    panic_hits += 1;
-                    let key = (f.file, p.line, p.col, p.what.clone());
-                    if emitted.insert(key) {
-                        emit(
-                            findings,
-                            Rule::PanicReach,
-                            &files[f.file],
-                            p.line,
-                            format!(
-                                "`{}` can panic and is reachable from {} (path: {})",
-                                p.what,
-                                root_qual,
-                                graph.path_to(idx, &parents, at)
-                            ),
-                        );
-                    }
-                }
-                for a in &node.assumes {
-                    if a.what.contains("divisor") {
-                        div_assumes += 1;
-                    } else {
-                        idx_assumes += 1;
-                    }
-                }
-                for call in &node.calls {
-                    if let Target::Ambiguous(cs) = &call.target {
-                        unresolved_total += 1;
-                        let risky: Vec<&str> = cs
-                            .iter()
-                            .filter(|c| can_panic[**c])
-                            .map(|c| idx.fns[*c].qual.as_str())
-                            .collect();
-                        if !risky.is_empty()
-                            && residual_keys.insert((call.name.clone(), call.line))
-                        {
-                            residuals.push(format!(
-                                "unresolved `{}` at {}:{} may reach panicking {}",
-                                call.name,
-                                files[f.file].path,
-                                call.line,
-                                risky.join(", ")
-                            ));
-                        }
-                    }
-                }
-            }
-            let verdict = if panic_hits == 0 && residuals.is_empty() {
-                "panic-free"
-            } else if panic_hits == 0 {
-                "panic-free modulo unresolved edges"
-            } else {
-                "NOT panic-free"
-            };
-            let summary = format!(
-                "{verdict}: {} reachable fn(s), {} panic site(s), {} unresolved may-call edge(s), {} div/mod + {} index assumption(s)",
-                parents.len(),
-                panic_hits,
-                unresolved_total,
-                div_assumes,
-                idx_assumes,
-            );
-            let shown = residuals.len().min(20);
-            let extra = residuals.len() - shown;
-            residuals.truncate(shown);
-            if extra > 0 {
-                residuals.push(format!("… and {extra} more unresolved edge(s)"));
-            }
-            proofs.push(ProofNote {
-                rule: Rule::PanicReach,
-                root: root_qual.to_string(),
-                summary,
-                details: residuals,
-            });
-        }
-    }
-    proofs
+    findings
 }
 
 // ----------------------------------------------------------------
@@ -308,19 +182,17 @@ fn shared_capture_writes(
                 let borrow_mut = before.ends_with("&mut");
                 let assigned = is_assignment(after);
                 let mutated = MUTATING_METHODS.iter().any(|m| after.starts_with(m));
-                if borrow_mut || assigned || mutated {
-                    if flagged.insert((line.number, name.clone())) {
-                        emit(
-                            findings,
-                            Rule::Concurrency,
-                            file,
-                            line.number,
-                            format!(
-                                "spawned closure (line {}) writes shared capture `{name}` without atomic, lock, or per-slot indexing discipline: cross-thread interleaving makes results depend on scheduling",
-                                file.lines[spawn_line].number
-                            ),
-                        );
-                    }
+                if (borrow_mut || assigned || mutated) && flagged.insert((line.number, name.clone())) {
+                    emit(
+                        findings,
+                        Rule::Concurrency,
+                        file,
+                        line.number,
+                        format!(
+                            "spawned closure (line {}) writes shared capture `{name}` without atomic, lock, or per-slot indexing discipline: cross-thread interleaving makes results depend on scheduling",
+                            file.lines[spawn_line].number
+                        ),
+                    );
                 }
             }
         }
@@ -340,23 +212,6 @@ fn is_assignment(after: &str) -> bool {
         }
     }
     false
-}
-
-/// `word` at `from` or later with identifier boundaries on both sides.
-fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
-    let mut at = from;
-    while let Some(p) = code[at..].find(word) {
-        let pos = at + p;
-        let pre = code[..pos].chars().next_back();
-        let post = code[pos + word.len()..].chars().next();
-        let pre_ok = !pre.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let post_ok = !post.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if pre_ok && post_ok {
-            return Some(pos);
-        }
-        at = pos + word.len();
-    }
-    None
 }
 
 /// Flags `.load(Ordering::Relaxed)` whose result feeds control flow on
@@ -619,7 +474,7 @@ mod tests {
     use super::*;
     use crate::lexer::scan;
 
-    fn run(path: &str, src: &str) -> (Vec<Finding>, Vec<ProofNote>) {
+    fn run(path: &str, src: &str) -> Vec<Finding> {
         let files = vec![File {
             path: path.into(),
             lines: scan(src),
@@ -628,29 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn r8_flags_transitive_panics_from_roots() {
-        let src = "pub struct Machine;\nimpl Machine {\n    pub fn run(&mut self) { self.step(); }\n    fn step(&mut self) { deep(None); }\n}\nfn deep(x: Option<u64>) -> u64 { x.unwrap() }\n";
-        let (findings, proofs) = run("crates/isa/src/x.rs", src);
-        let r8: Vec<_> = findings.iter().filter(|f| f.rule == Rule::PanicReach).collect();
-        assert_eq!(r8.len(), 1);
-        assert!(r8[0].message.contains("Machine::run -> Machine::step -> deep"));
-        assert!(proofs.iter().any(|p| p.root == "Machine::run" && p.summary.contains("NOT panic-free")));
-    }
-
-    #[test]
-    fn r8_proves_clean_trees_and_reports_residual_edges() {
-        let src = "pub struct Machine;\nimpl Machine {\n    pub fn run(&mut self) { helper(3); }\n}\nfn helper(x: u64) -> u64 { x + 1 }\n";
-        let (findings, proofs) = run("crates/isa/src/x.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::PanicReach));
-        let p = proofs.iter().find(|p| p.root == "Machine::run").unwrap();
-        assert!(p.summary.starts_with("panic-free"), "{}", p.summary);
-        assert!(p.summary.contains("2 reachable fn(s)"));
-    }
-
-    #[test]
     fn r9_flags_undisciplined_shared_writes() {
         let src = "fn run() {\n    let mut total = 0u64;\n    std::thread::scope(|s| {\n        s.spawn(|| {\n            total += 1;\n        });\n    });\n}\n";
-        let (findings, _) = run("crates/bench/src/x.rs", src);
+        let findings = run("crates/bench/src/x.rs", src);
         let r9: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Concurrency).collect();
         assert_eq!(r9.len(), 1);
         assert!(r9[0].message.contains("total"));
@@ -659,14 +494,14 @@ mod tests {
     #[test]
     fn r9_allows_per_slot_lock_and_atomic_discipline() {
         let src = "fn run(results: &[std::sync::Mutex<u64>]) {\n    let mut scratch = 0u64;\n    std::thread::scope(|s| {\n        s.spawn(|| {\n            let i = 0;\n            *results[i].lock().unwrap_or_else(|e| e.into_inner()) = 1;\n        });\n    });\n    scratch += 1;\n    let _ = scratch;\n}\n";
-        let (findings, _) = run("crates/bench/src/x.rs", src);
+        let findings = run("crates/bench/src/x.rs", src);
         assert!(findings.iter().all(|f| f.rule != Rule::Concurrency));
     }
 
     #[test]
     fn r9_flags_relaxed_loads_feeding_control_flow() {
         let src = "fn f(stop: &std::sync::atomic::AtomicBool) {\n    while !stop.load(Ordering::Relaxed) == false {}\n}\nfn g(hits: &std::sync::atomic::AtomicU64) -> u64 {\n    hits.load(Ordering::Relaxed)\n}\n";
-        let (findings, _) = run("crates/serve/src/x.rs", src);
+        let findings = run("crates/serve/src/x.rs", src);
         let r9: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Concurrency).collect();
         assert_eq!(r9.len(), 1, "{r9:?}");
         assert_eq!(r9[0].line, 2);
@@ -675,7 +510,7 @@ mod tests {
     #[test]
     fn r10_flags_opposite_lock_orders() {
         let src = "use std::sync::Mutex;\npub struct S { a: Mutex<u64>, b: Mutex<u64> }\nimpl S {\n    fn one(&self) -> u64 {\n        let g = self.a.lock().unwrap_or_else(|e| e.into_inner());\n        let h = self.b.lock().unwrap_or_else(|e| e.into_inner());\n        *g + *h\n    }\n    fn two(&self) -> u64 {\n        let g = self.b.lock().unwrap_or_else(|e| e.into_inner());\n        let h = self.a.lock().unwrap_or_else(|e| e.into_inner());\n        *g + *h\n    }\n}\n";
-        let (findings, _) = run("crates/bench/src/x.rs", src);
+        let findings = run("crates/bench/src/x.rs", src);
         let r10: Vec<_> = findings.iter().filter(|f| f.rule == Rule::LockOrder).collect();
         assert!(!r10.is_empty());
         assert!(r10[0].message.contains("fixed order"));
@@ -684,7 +519,7 @@ mod tests {
     #[test]
     fn r10_accepts_consistent_lock_orders() {
         let src = "use std::sync::Mutex;\npub struct S { a: Mutex<u64>, b: Mutex<u64> }\nimpl S {\n    fn one(&self) -> u64 {\n        let g = self.a.lock().unwrap_or_else(|e| e.into_inner());\n        let h = self.b.lock().unwrap_or_else(|e| e.into_inner());\n        *g + *h\n    }\n    fn two(&self) -> u64 {\n        let g = self.a.lock().unwrap_or_else(|e| e.into_inner());\n        let h = self.b.lock().unwrap_or_else(|e| e.into_inner());\n        *g + *h\n    }\n}\n";
-        let (findings, _) = run("crates/bench/src/x.rs", src);
+        let findings = run("crates/bench/src/x.rs", src);
         assert!(findings.iter().all(|f| f.rule != Rule::LockOrder));
     }
 }

@@ -1,25 +1,24 @@
-//! The seven simulator-invariant rules.
+//! The per-line simulator-invariant rules.
 //!
-//! | id | name        | scope                                   |
-//! |----|-------------|-----------------------------------------|
-//! | R1 | determinism | cycle-level crates                              |
-//! | R2 | panic       | cycle-level crates + `isa/src/asm.rs` + `serve` |
-//! | R3 | stats       | `*Stats` structs in core + stats crates         |
-//! | R4 | config      | `crates/core/src/config.rs` fields              |
-//! | R5 | counter     | same structs as R3                              |
-//! | R6 | wallclock   | cycle-level crates                              |
-//! | R7 | columnar    | cycle-level crates minus the column module      |
+//! | id | name     | scope                                          |
+//! |----|----------|------------------------------------------------|
+//! | R2 | panic    | [`PANIC_CRATES`]: literal indexing only        |
+//! | R3 | stats    | `*Stats` structs in core + stats crates        |
+//! | R4 | config   | `crates/core/src/config.rs` fields             |
+//! | R5 | counter  | same structs as R3                             |
+//! | R7 | columnar | [`CYCLE_CRATES`] minus the column module       |
 //!
 //! Cycle-level crates are the ones whose state evolves per simulated
-//! cycle: `core`, `reuse`, `predict`, `branch`, `mem`, `mechanism`.
-//! Iteration order
-//! there is part of the simulated machine's behaviour, so hash-ordered
-//! collections (R1) would make runs depend on hash seeding, and a
-//! panic mid-cycle (R2) would tear down a simulation that a malformed
-//! workload should instead surface as an error. R3–R5 keep the
-//! measurement layer honest: a counter that is never updated, never
-//! reported, or silently truncated produces plausible-looking but
-//! wrong tables.
+//! cycle. A panic mid-cycle would tear down a simulation that a
+//! malformed workload should instead surface as an error; clippy's
+//! panic lints (denied at each crate root in [`PANIC_CRATES`]) cover
+//! `unwrap`/`expect`/`panic!` and friends, and R2 covers the literal
+//! index clippy can only express together with every computed one.
+//! Determinism (R1) and wall-clock freedom (R6) are clippy's
+//! `disallowed_types`, configured in the workspace `clippy.toml` and
+//! denied at each [`CYCLE_CRATES`] root. R3–R5 keep the measurement
+//! layer honest: a counter that is never updated, never reported, or
+//! silently truncated produces plausible-looking but wrong tables.
 
 use crate::findings::{Finding, Rule};
 use crate::lexer::SourceLine;
@@ -31,7 +30,26 @@ pub struct File {
 }
 
 /// The crates whose per-cycle state must be deterministic & panic-free.
-const CYCLE_CRATES: [&str; 6] = ["core", "reuse", "predict", "branch", "mem", "mechanism"];
+/// Each denies `clippy::disallowed_types` plus [`PANIC_LINTS`] at its root.
+pub const CYCLE_CRATES: [&str; 6] = ["core", "reuse", "predict", "branch", "mem", "mechanism"];
+
+/// The crates held to panic-freedom: the cycle crates, the ISA they
+/// execute through, and the service and stats crates on the request
+/// path (a panic there takes down a connection or worker thread). Each
+/// denies [`PANIC_LINTS`] at its root; R2 checks their literal indexes.
+pub const PANIC_CRATES: [&str; 9] = [
+    "core", "reuse", "predict", "branch", "mem", "mechanism", "isa", "serve", "stats",
+];
+
+/// The clippy lints every [`PANIC_CRATES`] root denies.
+pub const PANIC_LINTS: [&str; 6] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+];
 
 /// The one file allowed to declare `Vec<Option<…>>` state: the ROB
 /// column module, where array-of-structs remnants are being burned down
@@ -39,34 +57,21 @@ const CYCLE_CRATES: [&str; 6] = ["core", "reuse", "predict", "branch", "mem", "m
 /// boundary, not an allow comment).
 const COLUMN_MODULE: &str = "crates/core/src/rob.rs";
 
-fn in_cycle_crate(path: &str) -> bool {
-    CYCLE_CRATES
+fn in_crates(crates: &[&str], path: &str) -> bool {
+    crates
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/src/")))
-}
-
-fn in_panic_scope(path: &str) -> bool {
-    // The service crate handles hostile byte streams on its request
-    // path: a panic there takes down a connection or worker thread, so
-    // it gets the same panic-freedom discipline as the cycle crates.
-    in_cycle_crate(path)
-        || path == "crates/isa/src/asm.rs"
-        || path.starts_with("crates/serve/src/")
 }
 
 /// Runs every rule over the scanned files.
 pub fn run_all(files: &[File]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in files {
-        if in_cycle_crate(&f.path) {
-            determinism(f, &mut findings);
-            wallclock(f, &mut findings);
-            if f.path != COLUMN_MODULE {
-                columnar(f, &mut findings);
-            }
+        if in_crates(&CYCLE_CRATES, &f.path) && f.path != COLUMN_MODULE {
+            columnar(f, &mut findings);
         }
-        if in_panic_scope(&f.path) {
-            panic_freedom(f, &mut findings);
+        if in_crates(&PANIC_CRATES, &f.path) {
+            literal_indexing(f, &mut findings);
         }
     }
     stats_discipline(files, &mut findings);
@@ -91,46 +96,6 @@ pub(crate) fn emit(findings: &mut Vec<Finding>, rule: Rule, file: &File, line: u
         message,
         suppressed,
     });
-}
-
-// ----------------------------------------------------------------
-// R1: determinism.
-// ----------------------------------------------------------------
-
-fn determinism(file: &File, findings: &mut Vec<Finding>) {
-    for line in live_lines(file) {
-        for ty in ["HashMap", "HashSet"] {
-            if has_token(&line.code, ty) {
-                emit(
-                    findings,
-                    Rule::Determinism,
-                    file,
-                    line.number,
-                    format!("{ty} in cycle-level code: iteration order depends on hash seeding; use BTreeMap/BTreeSet or a sorted collect"),
-                );
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------
-// R6: no wall-clock reads.
-// ----------------------------------------------------------------
-
-fn wallclock(file: &File, findings: &mut Vec<Finding>) {
-    for line in live_lines(file) {
-        for ty in ["Instant", "SystemTime"] {
-            if has_token(&line.code, ty) {
-                emit(
-                    findings,
-                    Rule::WallClock,
-                    file,
-                    line.number,
-                    format!("{ty} in cycle-level code: wall-clock reads make simulated behaviour depend on host timing; measure in cycles, or time at the harness layer"),
-                );
-            }
-        }
-    }
 }
 
 // ----------------------------------------------------------------
@@ -161,33 +126,11 @@ fn columnar(file: &File, findings: &mut Vec<Finding>) {
 }
 
 // ----------------------------------------------------------------
-// R2: panic-freedom.
+// R2: panic-freedom (literal indexing).
 // ----------------------------------------------------------------
 
-fn panic_freedom(file: &File, findings: &mut Vec<Finding>) {
+fn literal_indexing(file: &File, findings: &mut Vec<Finding>) {
     for line in live_lines(file) {
-        for pat in [".unwrap()", ".expect("] {
-            if line.code.contains(pat) {
-                emit(
-                    findings,
-                    Rule::Panic,
-                    file,
-                    line.number,
-                    format!("`{pat}` in a pipeline hot path: return an error or restructure; panics tear down the simulation mid-cycle"),
-                );
-            }
-        }
-        for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-            if has_macro(&line.code, mac) {
-                emit(
-                    findings,
-                    Rule::Panic,
-                    file,
-                    line.number,
-                    format!("`{mac}!` in a pipeline hot path"),
-                );
-            }
-        }
         for idx in literal_indexes(&line.code) {
             emit(
                 findings,
@@ -200,25 +143,6 @@ fn panic_freedom(file: &File, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Finds `name!` macro invocations with a token boundary before `name`.
-pub(crate) fn has_macro(code: &str, name: &str) -> bool {
-    let pat = format!("{name}!");
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(&pat) {
-        let at = from + pos;
-        let boundary = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if boundary {
-            return true;
-        }
-        from = at + pat.len();
-    }
-    false
-}
-
 /// Collects integer-literal index expressions: `xs[0]`, `pair.1[12]`.
 ///
 /// Loop-style indexing (`xs[i]`, `map[reg.index()]`) is deliberately
@@ -226,7 +150,7 @@ pub(crate) fn has_macro(code: &str, name: &str) -> bool {
 /// own length, and flagging it would drown real findings in noise. A
 /// literal index instead encodes a fixed-size assumption that an
 /// `.get(n)` makes explicit.
-pub(crate) fn literal_indexes(code: &str) -> Vec<String> {
+fn literal_indexes(code: &str) -> Vec<String> {
     let chars: Vec<char> = code.chars().collect();
     let mut out = Vec::new();
     for (i, &c) in chars.iter().enumerate() {
@@ -374,26 +298,22 @@ fn field_decl(code: &str) -> Option<(String, String)> {
 
 /// True when `tok` occurs in `code` with non-identifier neighbors.
 fn has_token(code: &str, tok: &str) -> bool {
-    find_token(code, tok).is_some()
+    find_word(code, tok, 0).is_some()
 }
 
-fn find_token(code: &str, tok: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(tok) {
-        let at = from + pos;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after_ok = !code[at + tok.len()..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(at);
+/// `word` at `from` or later with identifier boundaries on both sides.
+pub(crate) fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
+    let mut at = from;
+    while let Some(p) = code[at..].find(word) {
+        let pos = at + p;
+        let pre = code[..pos].chars().next_back();
+        let post = code[pos + word.len()..].chars().next();
+        let pre_ok = !pre.is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let post_ok = !post.is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if pre_ok && post_ok {
+            return Some(pos);
         }
-        from = at + tok.len();
+        at = pos + word.len();
     }
     None
 }
@@ -404,7 +324,7 @@ fn has_member_access(code: &str, field: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = code[from..].find(field) {
         let at = from + pos;
-        let dotted = code[..at].chars().next_back() == Some('.');
+        let dotted = code[..at].ends_with('.');
         let after_ok = !code[at + field.len()..]
             .chars()
             .next()
@@ -427,7 +347,7 @@ fn live_lines(file: &File) -> impl Iterator<Item = &SourceLine> {
 // ----------------------------------------------------------------
 
 /// Files whose `*Stats` structs are held to R3/R5.
-fn stats_decl_files<'a>(files: &'a [File]) -> impl Iterator<Item = &'a File> {
+fn stats_decl_files(files: &[File]) -> impl Iterator<Item = &File> {
     files
         .iter()
         .filter(|f| f.path == "crates/core/src/stats.rs" || f.path.starts_with("crates/stats/src/"))
@@ -556,34 +476,18 @@ mod tests {
     }
 
     #[test]
-    fn r1_flags_hash_collections_in_cycle_crates_only() {
-        let bad = file("crates/core/src/x.rs", "use std::collections::HashMap;\n");
-        let ok = file("crates/workloads/src/x.rs", "use std::collections::HashMap;\n");
-        let findings = run_all(&[bad, ok]);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, Rule::Determinism);
-        assert_eq!(findings[0].line, 1);
-    }
-
-    #[test]
-    fn r2_flags_panics_and_honors_allow() {
-        let src = "fn f(x: Option<u8>) {\n    x.unwrap();\n    x.expect(\"y\"); // vpir: allow(panic, tested invariant)\n}\n";
-        let findings = run_all(&[file("crates/mem/src/x.rs", src)]);
-        let live: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].line, 2);
-        assert_eq!(findings.iter().filter(|f| f.suppressed.is_some()).count(), 1);
-    }
-
-    #[test]
-    fn r2_covers_the_serve_crate_request_path() {
-        let src = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        let flagged = run_all(&[file("crates/serve/src/http.rs", src)]);
-        assert_eq!(flagged.len(), 1);
-        assert_eq!(flagged[0].rule, Rule::Panic);
-        // The service's integration tests are outside src/ and exempt.
-        let exempt = run_all(&[file("crates/serve/tests/http.rs", src)]);
-        assert!(exempt.is_empty());
+    fn r2_covers_every_panic_crate_and_honors_allow() {
+        let src = "fn f(xs: &[u8]) -> u8 {\n    xs[0]\n}\nfn g(xs: &[u8]) -> u8 {\n    xs[1] // vpir: allow(panic, caller checks len)\n}\n";
+        for krate in PANIC_CRATES {
+            let findings = run_all(&[file(&format!("crates/{krate}/src/x.rs"), src)]);
+            let live: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
+            assert_eq!(live.len(), 1, "{krate}");
+            assert_eq!(live[0].line, 2);
+            assert_eq!(findings.iter().filter(|f| f.suppressed.is_some()).count(), 1);
+        }
+        // Harness crates and integration tests are outside the scope.
+        assert!(run_all(&[file("crates/bench/src/x.rs", src)]).is_empty());
+        assert!(run_all(&[file("crates/serve/tests/http.rs", src)]).is_empty());
     }
 
     #[test]
@@ -596,7 +500,7 @@ mod tests {
 
     #[test]
     fn r2_skips_test_modules() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); }\n}\n";
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!([1u8][0], 1); }\n}\n";
         let findings = run_all(&[file("crates/core/src/x.rs", src)]);
         assert!(findings.is_empty());
     }

@@ -5,8 +5,8 @@
 //! kept here is the minimal valid core: one run, the tool's rule
 //! metadata, one `result` per finding (suppressed findings carry an
 //! `inSource` suppression object, which is SARIF's native rendering of
-//! the `// vpir: allow(…)` comment), and the R8 proof notes under the
-//! run's `properties` bag. [`validate_sarif`] re-parses the emitted
+//! the `// vpir: allow(…)` comment), and the scanned-file count under
+//! the run's `properties` bag. [`validate_sarif`] re-parses the emitted
 //! document through `vpir-jsonlite` and checks the structural
 //! invariants, so the emitter cannot silently drift.
 
@@ -17,15 +17,12 @@ use vpir_jsonlite::{json_escape, parse_json, validate_json, JsonValue};
 use crate::findings::{Report, Rule};
 
 /// Every host rule, in `ruleIndex` order.
-const HOST_RULES: [(Rule, &str); 10] = [
-    (Rule::Determinism, "Cycle-level code must not use hash-ordered collections."),
-    (Rule::Panic, "Pipeline hot paths must not contain panicking constructs."),
+const HOST_RULES: [(Rule, &str); 7] = [
+    (Rule::Panic, "Panic-free crates must not index with integer literals."),
     (Rule::Stats, "Every stats field must be updated and surfaced in a report."),
     (Rule::Config, "Every config field must be read outside its definition."),
     (Rule::Counter, "Stat counters must be u64."),
-    (Rule::WallClock, "Cycle-level code must not read wall-clock time."),
     (Rule::Columnar, "Cycle-level hot state must be columnar, not Vec<Option<...>>."),
-    (Rule::PanicReach, "Entry-point call trees must be transitively panic-free."),
     (Rule::Concurrency, "Spawned closures must not race on shared mutable captures; control-flow atomics must not be Relaxed."),
     (Rule::LockOrder, "The lock-acquisition graph must be acyclic."),
 ];
@@ -84,30 +81,8 @@ pub fn to_sarif(report: &Report) -> String {
     }
     results.push(']');
 
-    let mut proofs = String::from("[");
-    for (i, p) in report.proofs.iter().enumerate() {
-        if i > 0 {
-            proofs.push(',');
-        }
-        let _ = write!(
-            proofs,
-            "{{\"rule\":\"{}\",\"root\":\"{}\",\"summary\":\"{}\",\"details\":[",
-            p.rule.id(),
-            json_escape(&p.root),
-            json_escape(&p.summary)
-        );
-        for (j, d) in p.details.iter().enumerate() {
-            if j > 0 {
-                proofs.push(',');
-            }
-            let _ = write!(proofs, "\"{}\"", json_escape(d));
-        }
-        proofs.push_str("]}");
-    }
-    proofs.push(']');
-
     format!(
-        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"vpir-analyze\",\"informationUri\":\"https://example.invalid/vpir\",\"rules\":{rules}}}}},\"results\":{results},\"properties\":{{\"filesScanned\":{},\"proofs\":{proofs}}}}}]}}",
+        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"vpir-analyze\",\"informationUri\":\"https://example.invalid/vpir\",\"rules\":{rules}}}}},\"results\":{results},\"properties\":{{\"filesScanned\":{}}}}}]}}",
         report.files_scanned
     )
 }
@@ -185,7 +160,7 @@ pub fn validate_sarif(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::findings::{Finding, ProofNote};
+    use crate::findings::Finding;
 
     fn report() -> Report {
         Report {
@@ -199,21 +174,15 @@ mod tests {
                     suppressed: None,
                 },
                 Finding {
-                    rule: Rule::PanicReach,
-                    file: "crates/isa/src/x.rs".into(),
+                    rule: Rule::LockOrder,
+                    file: "crates/serve/src/x.rs".into(),
                     line: 12,
                     col: 0,
-                    message: "reachable panic".into(),
+                    message: "lock cycle".into(),
                     suppressed: Some("vetted".into()),
                 },
             ],
             files_scanned: 42,
-            proofs: vec![ProofNote {
-                rule: Rule::PanicReach,
-                root: "Machine::run".into(),
-                summary: "panic-free: 10 reachable fn(s)".into(),
-                details: vec!["unresolved `.push` at a.rs:3".into()],
-            }],
         }
     }
 
@@ -224,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn sarif_carries_suppressions_and_proofs() {
+    fn sarif_carries_suppressions_and_the_file_count() {
         let sarif = to_sarif(&report());
         let doc = parse_json(&sarif).unwrap();
         let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
@@ -236,17 +205,8 @@ mod tests {
             sup[0].get("justification").and_then(JsonValue::as_str),
             Some("vetted")
         );
-        let proofs = run
-            .get("properties")
-            .unwrap()
-            .get("proofs")
-            .unwrap()
-            .as_arr()
-            .unwrap();
-        assert_eq!(
-            proofs[0].get("root").and_then(JsonValue::as_str),
-            Some("Machine::run")
-        );
+        let scanned = run.get("properties").unwrap().get("filesScanned");
+        assert_eq!(scanned.and_then(JsonValue::as_u64), Some(42));
     }
 
     #[test]

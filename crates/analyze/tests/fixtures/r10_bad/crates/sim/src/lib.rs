@@ -1,5 +1,6 @@
 //! R10 bad twin: two methods acquire the same pair of locks in
-//! opposite orders — a classic ABBA deadlock.
+//! opposite orders — a classic ABBA deadlock. `promote` takes the
+//! second lock inside a helper, so only the call graph sees the cycle.
 
 use std::sync::Mutex;
 
@@ -11,10 +12,14 @@ pub struct Store {
 impl Store {
     pub fn promote(&self) {
         let mut c = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let mut p = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(v) = c.pop() {
-            p.push(v);
+            self.park(v);
         }
+    }
+
+    fn park(&self, v: u64) {
+        let mut p = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        p.push(scrub(v));
     }
 
     pub fn demote(&self) {
@@ -24,4 +29,8 @@ impl Store {
             c.push(v);
         }
     }
+}
+
+fn scrub(v: u64) -> u64 {
+    v & !1
 }

@@ -1,10 +1,7 @@
-//! R2 bad twin: panicking constructs on the hot path.
+//! R2 bad twin: literal indexes encode a fixed-size assumption that
+//! panics out of bounds on a short slice.
 
-pub fn head(xs: &[u64], cache: Option<u64>) -> u64 {
+pub fn head(xs: &[u64], pairs: &[(u64, [u64; 2])]) -> u64 {
     let first = xs[0];
-    let cached = cache.unwrap();
-    if first > cached {
-        panic!("impossible");
-    }
-    cache.expect("checked above")
+    first + pairs[1].1[0]
 }

@@ -1,84 +1,43 @@
-//! R2 good twin: fallible paths return options / carry a recorded
-//! justification; test-only panics are exempt.
+//! R2 good twin: fallible reads return options, fixed-size values are
+//! destructured, a vetted index carries a recorded justification, and
+//! test-only indexing is exempt.
 
-pub fn head(xs: &[u64], cache: Option<u64>) -> Option<u64> {
+pub fn head(xs: &[u64], pairs: &[(u64, [u64; 2])]) -> Option<u64> {
     let first = xs.first().copied()?;
-    let cached = cache.expect("filled by constructor"); // vpir: allow(panic, constructor always seeds the cache)
-    Some(first.max(cached))
+    let (_, [lo, _]) = pairs.get(1)?;
+    Some(first + lo)
 }
 
-/// The scratch-buffer idiom from the zero-allocation cycle loop: a pooled
-/// buffer is taken, refilled, and put back every call, so the steady state
-/// never allocates. The `expect` on put-back is justified the same way the
-/// pipeline's pool invariants are — with a recorded allow.
-pub struct Scratch {
-    pool: Vec<Vec<u64>>,
+/// Loop-style indexing by a computed slot is outside R2's reach: the
+/// index is derived from the collection's own length.
+pub fn sum_every_other(xs: &[u64]) -> u64 {
+    (0..xs.len()).step_by(2).map(|i| xs[i]).sum()
 }
 
-impl Scratch {
-    pub fn sum(&mut self, xs: &[u64]) -> u64 {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(xs);
-        let total = buf.iter().sum();
-        self.pool.push(buf);
-        let back = self.pool.last().expect("buffer just pushed"); // vpir: allow(panic, pool take/put-back is balanced: the push above makes the pool non-empty)
-        debug_assert_eq!(back.len(), xs.len());
-        total
-    }
+/// A table whose length is fixed at construction: the allow records
+/// why the literal index cannot miss.
+pub struct Ports {
+    busy: Vec<bool>,
 }
 
-/// The fault-isolation boundary idiom from the bench matrix runner: a
-/// job runs behind `catch_unwind`, and a panic degrades to a structured
-/// error value instead of tearing down the caller. Note the shape is
-/// R2-clean without any allow — the payload is examined with
-/// `downcast_ref` + fallbacks, never unwrapped.
-pub fn isolated<T>(job: impl FnOnce() -> T) -> Result<T, String> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-    match result {
-        Ok(out) => Ok(out),
-        Err(payload) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panic with non-string payload".to_string())),
-    }
-}
-
-/// The connection-handler error-boundary idiom from the serve crate: a
-/// hostile byte stream maps to a structured status instead of a panic,
-/// and shared state uses the poison-safe lock recovery. Every fallible
-/// step flows through `?`/`map_err`, so the whole path is R2-clean with
-/// no allow at all.
-pub struct Handler {
-    seen: std::sync::Mutex<u64>,
-}
-
-impl Handler {
-    pub fn handle(&self, head: &str) -> Result<u64, (u16, String)> {
-        let mut parts = head.split(' ');
-        let method = parts.next().filter(|m| !m.is_empty()).ok_or_else(|| {
-            (400, "empty request line".to_string())
-        })?;
-        if method != "GET" {
-            return Err((405, format!("method {method} not allowed")));
+impl Ports {
+    pub fn new() -> Ports {
+        Ports {
+            busy: vec![false; 4],
         }
-        let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
-        *seen += 1;
-        Ok(*seen)
+    }
+
+    pub fn load_port_busy(&self) -> bool {
+        self.busy[0] // vpir: allow(panic, the constructor always allocates four ports)
     }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn panics_here_are_fine() {
+    fn indexing_here_is_fine() {
         let xs = [1u64, 2];
         assert_eq!(xs[0], 1);
-        assert_eq!(super::head(&xs, Some(3)).unwrap(), 3);
-        assert!(super::isolated(|| panic!("boom")).is_err());
-        let h = super::Handler { seen: std::sync::Mutex::new(0) };
-        assert_eq!(h.handle("GET / HTTP/1.1").unwrap(), 1);
-        assert_eq!(h.handle("EAT / HTTP/1.1").unwrap_err().0, 405);
+        assert_eq!(super::head(&xs, &[(0, [3, 4]), (0, [5, 6])]), Some(6));
     }
 }

@@ -164,14 +164,14 @@ enum JobKind {
 /// The result of one job.
 #[derive(Debug, Clone)]
 enum JobOut {
-    Stats(SimStats),
+    Stats(Box<SimStats>),
     Limit(LimitStudy),
 }
 
 impl JobOut {
     fn into_stats(self) -> SimStats {
         match self {
-            JobOut::Stats(s) => s,
+            JobOut::Stats(s) => *s,
             JobOut::Limit(_) => unreachable!("job kind mismatch: expected stats"),
         }
     }
@@ -231,7 +231,7 @@ fn run_job(prog: &Program, cfg: MatrixConfig, kind: JobKind) -> JobOut {
     let limits = RunLimits::cycles(cfg.max_cycles);
     let run = |core: CoreConfig| -> JobOut {
         let mut sim = Simulator::new(prog, core);
-        JobOut::Stats(sim.run(limits).clone())
+        JobOut::Stats(Box::new(sim.run(limits).clone()))
     };
     match kind {
         JobKind::Base => run(CoreConfig::table1()),
@@ -420,7 +420,7 @@ fn run_job_checked(
             core.watchdog_cycles = 5_000;
         }
         let mut sim = Simulator::new(prog, core);
-        Ok(JobOut::Stats(sim.run_checked(limits)?.clone()))
+        Ok(JobOut::Stats(Box::new(sim.run_checked(limits)?.clone())))
     };
     match kind {
         JobKind::Base => run(CoreConfig::table1()),
@@ -518,7 +518,7 @@ fn persist_slot(
         SlotOut::Done(out) => {
             let payload = match out {
                 JobOut::Stats(s) => JobPayload::Stats(s.clone()),
-                JobOut::Limit(l) => JobPayload::Limit(l.clone()),
+                JobOut::Limit(l) => JobPayload::Limit(*l),
             };
             let rec = JobRecord {
                 job_index,

@@ -30,6 +30,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 mod config;

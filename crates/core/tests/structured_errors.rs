@@ -174,6 +174,10 @@ fn paranoia_mode_passes_on_healthy_machines() {
 /// A minimal multiplicative LCG (Lehmer, M31) — the test's only source
 /// of randomness, so the whole differential sweep is reproducible with
 /// no `rand` dependency.
+/// A run's committed-instruction count and final architectural
+/// registers, or the structured error it stopped with.
+type Outcome = Result<(u64, Vec<u64>), SimError>;
+
 struct Lcg(u64);
 
 impl Lcg {
@@ -194,7 +198,7 @@ fn lcg_random_programs_agree_across_base_vp_ir_or_fail_structured() {
         let seed = lcg.next();
         let prog = random_program(seed, SynthConfig::default());
 
-        let mut outcomes: Vec<(&str, Result<(u64, Vec<u64>), SimError>)> = Vec::new();
+        let mut outcomes: Vec<(&str, Outcome)> = Vec::new();
         for (label, mut cfg) in [
             ("base", CoreConfig::table1()),
             ("vp", CoreConfig::with_vp(VpConfig::magic())),

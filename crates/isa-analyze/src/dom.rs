@@ -144,8 +144,8 @@ pub fn analyze(cfg: &Cfg) -> LoopInfo {
             }
         }
     }
-    for b in 0..n {
-        info.idom[b] = if b == cfg.entry { None } else { idom[b] };
+    for (b, (slot, &d)) in info.idom.iter_mut().zip(&idom).enumerate() {
+        *slot = if b == cfg.entry { None } else { d };
     }
     // A self-idom outside the entry never happens; unreachable stays None.
 

@@ -112,20 +112,21 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
         let end = self.pos.checked_add(n).ok_or(ImageError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(ImageError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
+        let s = self.bytes.get(self.pos..end).ok_or(ImageError::Truncated)?;
         self.pos = end;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ImageError> {
+        self.take(N)?.try_into().map_err(|_| ImageError::Truncated)
+    }
+
     fn u32(&mut self) -> Result<u32, ImageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, ImageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        self.array().map(u64::from_le_bytes)
     }
 }
 

@@ -183,6 +183,20 @@ impl Inst {
     }
 }
 
+/// A register operand for display: the register, or `?` when a
+/// malformed instruction leaves the slot empty. Formatting never
+/// fails, so `to_string()` on any `Inst` is total.
+struct Operand(Option<Reg>);
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(r) => write!(f, "{r}"),
+            None => f.write_str("?"),
+        }
+    }
+}
+
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let m = self.op.mnemonic();
@@ -190,19 +204,19 @@ impl fmt::Display for Inst {
             OpClass::Load => write!(
                 f,
                 "{m} {}, {}({})",
-                self.dst.expect("load has dst"),
+                Operand(self.dst),
                 self.imm,
-                self.src1.expect("load has base"),
+                Operand(self.src1),
             ),
             OpClass::Store => write!(
                 f,
                 "{m} {}, {}({})",
-                self.src2.expect("store has value"),
+                Operand(self.src2),
                 self.imm,
-                self.src1.expect("store has base"),
+                Operand(self.src1),
             ),
             OpClass::Branch => match self.src2 {
-                Some(s2) => write!(f, "{m} {}, {s2}, {:#x}", self.src1.unwrap(), self.imm),
+                Some(s2) => write!(f, "{m} {}, {s2}, {:#x}", Operand(self.src1), self.imm),
                 None => match self.src1 {
                     Some(s1) => write!(f, "{m} {s1}, {:#x}", self.imm),
                     None => write!(f, "{m} {:#x}", self.imm),
@@ -210,8 +224,8 @@ impl fmt::Display for Inst {
             },
             OpClass::Jump => write!(f, "{m} {:#x}", self.imm),
             OpClass::JumpReg => match self.dst {
-                Some(d) => write!(f, "{m} {d}, {}", self.src1.unwrap()),
-                None => write!(f, "{m} {}", self.src1.unwrap()),
+                Some(d) => write!(f, "{m} {d}, {}", Operand(self.src1)),
+                None => write!(f, "{m} {}", Operand(self.src1)),
             },
             OpClass::Misc => write!(f, "{m}"),
             _ => {
@@ -228,7 +242,7 @@ impl fmt::Display for Inst {
                 }
                 if let Some(s) = self.src2 {
                     write!(f, "{sep}{s}")?;
-                } else if self.uses_imm() {
+                } else if self.op.uses_imm() {
                     write!(f, "{sep}{}", self.imm)?;
                 }
                 Ok(())
@@ -237,19 +251,37 @@ impl fmt::Display for Inst {
     }
 }
 
-impl Inst {
-    fn uses_imm(&self) -> bool {
-        use Op::*;
-        matches!(
-            self.op,
-            Addi | Andi | Ori | Xori | Slti | Sltiu | Sll | Srl | Sra | Lui
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_insts_display_missing_operands_as_placeholders() {
+        let load = Inst {
+            op: Op::Lw,
+            dst: None,
+            src1: None,
+            src2: None,
+            imm: 8,
+        };
+        assert_eq!(load.to_string(), "lw ?, 8(?)");
+        let store = Inst {
+            op: Op::Sw,
+            dst: None,
+            src1: Some(Reg::SP),
+            src2: None,
+            imm: 0,
+        };
+        assert_eq!(store.to_string(), "sw ?, 0(r29)");
+        let jr = Inst {
+            op: Op::Jr,
+            dst: None,
+            src1: None,
+            src2: None,
+            imm: 0,
+        };
+        assert_eq!(jr.to_string(), "jr ?");
+    }
 
     #[test]
     fn lui_displays_without_its_implicit_source() {

@@ -24,6 +24,16 @@
 //! receives *action* structs back, so the timing model stays in one
 //! place and a new mechanism cannot corrupt pipeline invariants.
 
+#![deny(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod config;
 mod ir;
 pub mod registry;

@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn head_larger_than_the_cap_is_rejected() {
         let mut raw = b"GET /x HTTP/1.1\r\n".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES + 8));
+        raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8));
         assert_eq!(req(&raw, 1024).err().map(|e| e.status), Some(400));
     }
 

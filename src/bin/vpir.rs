@@ -55,10 +55,12 @@
 //! invariant instruction the dynamic study contradicts.
 //!
 //! `analyze` runs the *host*-code analyzer over the workspace's own
-//! Rust sources: rules R1–R7 plus the interprocedural passes R8–R10
-//! (panic-reachability, concurrency-determinism, lock-order). SARIF
-//! 2.1.0 output is available for CI upload, and `--call-graph FN`
-//! dumps the resolved call tree under any workspace function.
+//! Rust sources: the simulator invariants clippy cannot express (R2
+//! literal indexing, R3–R5 stats/config/counter discipline, R7
+//! columnar hot state) plus the interprocedural passes R9
+//! (concurrency-determinism) and R10 (lock-order). SARIF 2.1.0 output
+//! is available for CI upload, and `--call-graph FN` dumps the
+//! resolved call tree under any workspace function.
 
 use std::env;
 use std::fs;
@@ -374,7 +376,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                             .join(", ")
                     ));
                 }
-                if !config_labels().iter().any(|l| *l == fault.config) {
+                if !config_labels().contains(&fault.config) {
                     return Err(format!(
                         "--inject-fault: unknown config `{}`; valid configs: {}",
                         fault.config,
@@ -764,8 +766,8 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the host-code analyzer (rules R1–R7 + interprocedural passes
-/// R8–R10) over the workspace's own Rust sources, or dumps the call
+/// Runs the host-code analyzer (line rules + interprocedural passes
+/// R9/R10) over the workspace's own Rust sources, or dumps the call
 /// tree under one function with `--call-graph`.
 ///
 /// Returns `Err` (nonzero exit) on any unsuppressed finding: the
