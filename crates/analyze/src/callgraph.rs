@@ -100,7 +100,10 @@ impl CallGraph {
             out.push_str(&format!("{pad}{} (…)\n", f.qual));
             return;
         }
-        out.push_str(&format!("{pad}{} ({}:{})\n", f.qual, files[f.file].path, f.line));
+        out.push_str(&format!(
+            "{pad}{} ({}:{})\n",
+            f.qual, files[f.file].path, f.line
+        ));
         for call in &node.calls {
             match &call.target {
                 Target::Known(t) => self.dump_one(files, idx, *t, depth + 1, seen, out),
@@ -164,13 +167,7 @@ fn scan_fn(files: &[File], idx: &ItemIndex, f: &FnItem) -> FnNode {
 }
 
 /// Finds `ident(` call shapes and resolves each through the tiers.
-fn extract_calls(
-    code: &str,
-    line: usize,
-    f: &FnItem,
-    idx: &ItemIndex,
-    out: &mut Vec<CallEdge>,
-) {
+fn extract_calls(code: &str, line: usize, f: &FnItem, idx: &ItemIndex, out: &mut Vec<CallEdge>) {
     let chars: Vec<char> = code.chars().collect();
     for open in 0..chars.len() {
         if chars[open] != '(' {
@@ -282,7 +279,8 @@ fn resolve_qualified(idx: &ItemIndex, ty: &str, method: &str) -> Target {
             _ => return Target::Ambiguous(cands),
         }
     }
-    let known_type = idx.structs.contains_key(ty) || idx.fns.iter().any(|f| f.owner.as_deref() == Some(ty));
+    let known_type =
+        idx.structs.contains_key(ty) || idx.fns.iter().any(|f| f.owner.as_deref() == Some(ty));
     if known_type {
         resolve_bare(idx, method)
     } else {
@@ -374,10 +372,14 @@ mod tests {
 
     #[test]
     fn free_fn_calls_resolve() {
-        let (_, idx, g) = graph("fn helper(x: u64) -> u64 { x }\nfn caller() -> u64 { helper(3) }\n");
+        let (_, idx, g) =
+            graph("fn helper(x: u64) -> u64 { x }\nfn caller() -> u64 { helper(3) }\n");
         let calls = edges_of(&idx, &g, "caller");
         assert_eq!(calls.len(), 1);
-        assert_eq!(calls[0].target, Target::Known(idx.resolve_qual("helper").unwrap()));
+        assert_eq!(
+            calls[0].target,
+            Target::Known(idx.resolve_qual("helper").unwrap())
+        );
     }
 
     #[test]
@@ -387,7 +389,10 @@ mod tests {
         );
         let calls = edges_of(&idx, &g, "caller");
         assert_eq!(calls.len(), 1);
-        assert_eq!(calls[0].target, Target::Known(idx.resolve_qual("M::new").unwrap()));
+        assert_eq!(
+            calls[0].target,
+            Target::Known(idx.resolve_qual("M::new").unwrap())
+        );
     }
 
     #[test]
@@ -399,8 +404,14 @@ mod tests {
         );
         let calls = edges_of(&idx, &g, "M::step");
         assert_eq!(calls.len(), 2);
-        assert_eq!(calls[0].target, Target::Known(idx.resolve_qual("M::inner").unwrap()));
-        assert_eq!(calls[1].target, Target::Known(idx.resolve_qual("Rb::lookup").unwrap()));
+        assert_eq!(
+            calls[0].target,
+            Target::Known(idx.resolve_qual("M::inner").unwrap())
+        );
+        assert_eq!(
+            calls[1].target,
+            Target::Known(idx.resolve_qual("Rb::lookup").unwrap())
+        );
     }
 
     #[test]

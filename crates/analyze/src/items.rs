@@ -89,11 +89,15 @@ pub fn base_type(ty: &str) -> Option<String> {
         t = t.trim_start_matches('&').trim();
         if let Some(rest) = t.strip_prefix('\'') {
             // Skip a lifetime: `'a mut Rob` → `mut Rob`.
-            t = rest.trim_start_matches(|c: char| c.is_alphanumeric() || c == '_').trim();
+            t = rest
+                .trim_start_matches(|c: char| c.is_alphanumeric() || c == '_')
+                .trim();
         }
         t = t.strip_prefix("mut ").unwrap_or(t).trim();
         let mut stripped = false;
-        for wrapper in ["Option<", "Box<", "Arc<", "Rc<", "Vec<", "Mutex<", "RwLock<", "RefCell<", "Cell<"] {
+        for wrapper in [
+            "Option<", "Box<", "Arc<", "Rc<", "Vec<", "Mutex<", "RwLock<", "RefCell<", "Cell<",
+        ] {
             if let Some(rest) = t.strip_prefix(wrapper) {
                 t = rest.strip_suffix('>').unwrap_or(rest);
                 stripped = true;
@@ -114,7 +118,12 @@ pub fn base_type(ty: &str) -> Option<String> {
         .chars()
         .take_while(|c| c.is_alphanumeric() || *c == '_')
         .collect();
-    if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_lowercase() || c.is_ascii_digit()) {
+    if ident.is_empty()
+        || ident
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_lowercase() || c.is_ascii_digit())
+    {
         None
     } else {
         Some(ident)
@@ -228,7 +237,14 @@ fn find_fn_keyword(code: &str) -> Option<usize> {
     let mut changed = true;
     while changed {
         changed = false;
-        for m in ["pub(crate) ", "pub(super) ", "pub ", "const ", "async ", "unsafe "] {
+        for m in [
+            "pub(crate) ",
+            "pub(super) ",
+            "pub ",
+            "const ",
+            "async ",
+            "unsafe ",
+        ] {
             if let Some(r) = rest.strip_prefix(m) {
                 rest = r;
                 changed = true;
@@ -257,7 +273,10 @@ fn parse_file(file: &File, file_idx: usize, index: &mut ItemIndex) {
                 o.2 = true;
             }
         }
-        while owners.last().is_some_and(|(_, d, armed)| *armed && depth < *d) {
+        while owners
+            .last()
+            .is_some_and(|(_, d, armed)| *armed && depth < *d)
+        {
             owners.pop();
         }
         if let Some(ty) = impl_type(code).or_else(|| trait_name(code)) {
@@ -493,7 +512,10 @@ mod tests {
     use crate::lexer::scan;
 
     fn index(src: &str) -> ItemIndex {
-        let file = File { path: "crates/core/src/x.rs".into(), lines: scan(src) };
+        let file = File {
+            path: "crates/core/src/x.rs".into(),
+            lines: scan(src),
+        };
         ItemIndex::build(&[file])
     }
 
@@ -532,8 +554,14 @@ mod tests {
 
     #[test]
     fn base_type_strips_wrappers() {
-        assert_eq!(base_type("Option<Box<ReuseBuffer>>").as_deref(), Some("ReuseBuffer"));
-        assert_eq!(base_type("Vec<Mutex<Option<SlotOut>>>").as_deref(), Some("SlotOut"));
+        assert_eq!(
+            base_type("Option<Box<ReuseBuffer>>").as_deref(),
+            Some("ReuseBuffer")
+        );
+        assert_eq!(
+            base_type("Vec<Mutex<Option<SlotOut>>>").as_deref(),
+            Some("SlotOut")
+        );
         assert_eq!(base_type("&'a mut Rob").as_deref(), Some("Rob"));
         assert_eq!(base_type("u64"), None);
         assert_eq!(base_type("Option<Box<dyn Predictor>>"), None);

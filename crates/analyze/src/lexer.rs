@@ -128,7 +128,8 @@ fn blank(source: &str) -> Vec<(String, Option<Allow>)> {
                     j += 1;
                     mode = Mode::RawStr(hashes);
                     i = j;
-                } else if c == '"' || (c == 'b' && at(i + 1) == Some('"') && !ident_before(&chars, i))
+                } else if c == '"'
+                    || (c == 'b' && at(i + 1) == Some('"') && !ident_before(&chars, i))
                 {
                     if c == 'b' {
                         out.push(' ');
@@ -374,7 +375,8 @@ mod tests {
 
     #[test]
     fn lifetimes_are_not_chars() {
-        let lines = scan("fn f<'a>(x: &'a str) -> &'a str { x } // 'a\nlet c = '\"'; let d = \"q\";\n");
+        let lines =
+            scan("fn f<'a>(x: &'a str) -> &'a str { x } // 'a\nlet c = '\"'; let d = \"q\";\n");
         assert!(lines[0].code.contains("'a"));
         // The quote inside the char literal must not open a string.
         assert!(lines[1].code.contains("\"q\"") || lines[1].code.contains('d'));

@@ -30,7 +30,13 @@ pub fn run_interprocedural(files: &[File]) -> Vec<Finding> {
 /// Methods that mutate their receiver: a call on a shared capture
 /// inside a spawned closure is a cross-thread write.
 const MUTATING_METHODS: [&str; 7] = [
-    ".push(", ".push_str(", ".insert(", ".extend(", ".clear(", ".remove(", ".pop(",
+    ".push(",
+    ".push_str(",
+    ".insert(",
+    ".extend(",
+    ".clear(",
+    ".remove(",
+    ".pop(",
 ];
 
 fn concurrency(files: &[File], idx: &ItemIndex, findings: &mut Vec<Finding>) {
@@ -51,8 +57,7 @@ fn concurrency(files: &[File], idx: &ItemIndex, findings: &mut Vec<Finding>) {
                 i += 1;
                 continue;
             };
-            let Some((open_line, open_col, close_line)) =
-                closure_region(file, i, after_spawn)
+            let Some((open_line, open_col, close_line)) = closure_region(file, i, after_spawn)
             else {
                 i += 1;
                 continue;
@@ -68,7 +73,9 @@ fn concurrency(files: &[File], idx: &ItemIndex, findings: &mut Vec<Finding>) {
             let is_move = header.contains("move |") || header.contains("move|");
             if !is_move {
                 let captures = outer_mut_bindings(file, idx, file_idx, i);
-                shared_capture_writes(file, i, open_line, open_col, close_line, &captures, findings);
+                shared_capture_writes(
+                    file, i, open_line, open_col, close_line, &captures, findings,
+                );
             }
             i += 1;
         }
@@ -158,8 +165,18 @@ fn shared_capture_writes(
     findings: &mut Vec<Finding>,
 ) {
     let mut flagged: BTreeSet<(usize, String)> = BTreeSet::new();
-    for (k, line) in file.lines.iter().enumerate().take(close_line + 1).skip(open_line) {
-        let code = if k == open_line { &line.code[open_col..] } else { &line.code[..] };
+    for (k, line) in file
+        .lines
+        .iter()
+        .enumerate()
+        .take(close_line + 1)
+        .skip(open_line)
+    {
+        let code = if k == open_line {
+            &line.code[open_col..]
+        } else {
+            &line.code[..]
+        };
         for name in captures {
             let mut from = 0;
             while let Some(p) = find_word(code, name, from) {
@@ -182,7 +199,9 @@ fn shared_capture_writes(
                 let borrow_mut = before.ends_with("&mut");
                 let assigned = is_assignment(after);
                 let mutated = MUTATING_METHODS.iter().any(|m| after.starts_with(m));
-                if (borrow_mut || assigned || mutated) && flagged.insert((line.number, name.clone())) {
+                if (borrow_mut || assigned || mutated)
+                    && flagged.insert((line.number, name.clone()))
+                {
                     emit(
                         findings,
                         Rule::Concurrency,
@@ -227,9 +246,11 @@ fn relaxed_control_flow(file: &File, findings: &mut Vec<Finding>) {
         };
         let before = &code[..at];
         let after = &code[at + ".load(Ordering::Relaxed)".len()..];
-        let in_condition = ["if ", "while ", "match ", "assert"]
-            .iter()
-            .any(|k| before.trim_start().starts_with(k) || before.contains(&format!(" {k}")) || before.contains(&format!("({k}")));
+        let in_condition = ["if ", "while ", "match ", "assert"].iter().any(|k| {
+            before.trim_start().starts_with(k)
+                || before.contains(&format!(" {k}"))
+                || before.contains(&format!("({k}"))
+        });
         let compared = ["==", "!=", "<=", ">=", " < ", " > ", "&&", "||"]
             .iter()
             .any(|op| after.contains(op));
@@ -277,10 +298,8 @@ fn lock_order(files: &[File], idx: &ItemIndex, graph: &CallGraph, findings: &mut
         .collect();
     // Transitive acquire sets over Known edges (for calls made while a
     // guard is held).
-    let mut acquires: Vec<BTreeSet<String>> = direct
-        .iter()
-        .map(|v| v.iter().cloned().collect())
-        .collect();
+    let mut acquires: Vec<BTreeSet<String>> =
+        direct.iter().map(|v| v.iter().cloned().collect()).collect();
     let mut changed = true;
     while changed {
         changed = false;
@@ -313,7 +332,15 @@ fn lock_order(files: &[File], idx: &ItemIndex, graph: &CallGraph, findings: &mut
     let mut done: BTreeSet<String> = BTreeSet::new();
     let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
     for start in nodes {
-        dfs_cycles(&start, &edges, &mut done, &mut Vec::new(), &mut reported, files, findings);
+        dfs_cycles(
+            &start,
+            &edges,
+            &mut done,
+            &mut Vec::new(),
+            &mut reported,
+            files,
+            findings,
+        );
     }
 }
 
@@ -401,13 +428,22 @@ fn walk_guards(
     let mut depth = 0i32;
     // Active guards: (binding name, identity, depth at binding).
     let mut held: Vec<(String, String, i32)> = Vec::new();
-    for (k, line) in lines.iter().enumerate().take(f.body_end + 1).skip(f.body_start) {
+    for (k, line) in lines
+        .iter()
+        .enumerate()
+        .take(f.body_end + 1)
+        .skip(f.body_start)
+    {
         let code = &line.code;
         let ids = lock_identities(code, f.owner.as_deref());
         // Guard-returning helper calls acquire that helper's lock too.
         let mut via_calls: Vec<String> = Vec::new();
         let mut guard_call_ids: Vec<String> = Vec::new();
-        for call in graph.nodes[fi].calls.iter().filter(|c| c.line == line.number) {
+        for call in graph.nodes[fi]
+            .calls
+            .iter()
+            .filter(|c| c.line == line.number)
+        {
             if let Target::Known(t) = call.target {
                 if idx.fns[t].returns_guard {
                     guard_call_ids.extend(acquires[t].iter().cloned());
@@ -420,7 +456,11 @@ fn walk_guards(
         // (including a re-acquisition of the held lock itself, which
         // deadlocks a std Mutex outright).
         for (_, held_id, _) in &held {
-            for id in ids.iter().chain(via_calls.iter()).chain(guard_call_ids.iter()) {
+            for id in ids
+                .iter()
+                .chain(via_calls.iter())
+                .chain(guard_call_ids.iter())
+            {
                 edges.entry(held_id.clone()).or_default().push(LockEdge {
                     to: id.clone(),
                     file: f.file,
@@ -437,10 +477,7 @@ fn walk_guards(
                 .chars()
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
-            let identity = ids
-                .first()
-                .or(guard_call_ids.first())
-                .cloned();
+            let identity = ids.first().or(guard_call_ids.first()).cloned();
             if let (false, Some(id)) = (name.is_empty() || name == "_", identity) {
                 held.push((name, id, depth));
             }
@@ -486,7 +523,10 @@ mod tests {
     fn r9_flags_undisciplined_shared_writes() {
         let src = "fn run() {\n    let mut total = 0u64;\n    std::thread::scope(|s| {\n        s.spawn(|| {\n            total += 1;\n        });\n    });\n}\n";
         let findings = run("crates/bench/src/x.rs", src);
-        let r9: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Concurrency).collect();
+        let r9: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::Concurrency)
+            .collect();
         assert_eq!(r9.len(), 1);
         assert!(r9[0].message.contains("total"));
     }
@@ -502,7 +542,10 @@ mod tests {
     fn r9_flags_relaxed_loads_feeding_control_flow() {
         let src = "fn f(stop: &std::sync::atomic::AtomicBool) {\n    while !stop.load(Ordering::Relaxed) == false {}\n}\nfn g(hits: &std::sync::atomic::AtomicU64) -> u64 {\n    hits.load(Ordering::Relaxed)\n}\n";
         let findings = run("crates/serve/src/x.rs", src);
-        let r9: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Concurrency).collect();
+        let r9: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::Concurrency)
+            .collect();
         assert_eq!(r9.len(), 1, "{r9:?}");
         assert_eq!(r9[0].line, 2);
     }
@@ -511,7 +554,10 @@ mod tests {
     fn r10_flags_opposite_lock_orders() {
         let src = "use std::sync::Mutex;\npub struct S { a: Mutex<u64>, b: Mutex<u64> }\nimpl S {\n    fn one(&self) -> u64 {\n        let g = self.a.lock().unwrap_or_else(|e| e.into_inner());\n        let h = self.b.lock().unwrap_or_else(|e| e.into_inner());\n        *g + *h\n    }\n    fn two(&self) -> u64 {\n        let g = self.b.lock().unwrap_or_else(|e| e.into_inner());\n        let h = self.a.lock().unwrap_or_else(|e| e.into_inner());\n        *g + *h\n    }\n}\n";
         let findings = run("crates/bench/src/x.rs", src);
-        let r10: Vec<_> = findings.iter().filter(|f| f.rule == Rule::LockOrder).collect();
+        let r10: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::LockOrder)
+            .collect();
         assert!(!r10.is_empty());
         assert!(r10[0].message.contains("fixed order"));
     }

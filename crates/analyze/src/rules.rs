@@ -38,7 +38,15 @@ pub const CYCLE_CRATES: [&str; 6] = ["core", "reuse", "predict", "branch", "mem"
 /// path (a panic there takes down a connection or worker thread). Each
 /// denies [`PANIC_LINTS`] at its root; R2 checks their literal indexes.
 pub const PANIC_CRATES: [&str; 9] = [
-    "core", "reuse", "predict", "branch", "mem", "mechanism", "isa", "serve", "stats",
+    "core",
+    "reuse",
+    "predict",
+    "branch",
+    "mem",
+    "mechanism",
+    "isa",
+    "serve",
+    "stats",
 ];
 
 /// The clippy lints every [`PANIC_CRATES`] root denies.
@@ -81,7 +89,13 @@ pub fn run_all(files: &[File]) -> Vec<Finding> {
 }
 
 /// Creates a finding, honoring a same-line `vpir: allow` comment.
-pub(crate) fn emit(findings: &mut Vec<Finding>, rule: Rule, file: &File, line: usize, message: String) {
+pub(crate) fn emit(
+    findings: &mut Vec<Finding>,
+    rule: Rule,
+    file: &File,
+    line: usize,
+    message: String,
+) {
     let suppressed = file
         .lines
         .get(line - 1)
@@ -161,7 +175,8 @@ fn literal_indexes(code: &str) -> Vec<String> {
         // or literal: only an expression tail (identifier, `)`, `]`)
         // makes this an index operation.
         let prev = chars[..i].iter().rev().find(|c| !c.is_whitespace());
-        let is_index = prev.is_some_and(|&p| p.is_alphanumeric() || p == '_' || p == ')' || p == ']');
+        let is_index =
+            prev.is_some_and(|&p| p.is_alphanumeric() || p == '_' || p == ')' || p == ']');
         if !is_index {
             continue;
         }
@@ -256,7 +271,10 @@ fn parse_structs(file: &File) -> (Vec<Field>, Vec<StructRegion>) {
                 });
             }
         }
-        regions.push(StructRegion { start: i + 1, end: end + 1 });
+        regions.push(StructRegion {
+            start: i + 1,
+            end: end + 1,
+        });
         i = end + 1;
     }
     (fields, regions)
@@ -358,14 +376,12 @@ fn stats_discipline(files: &[File], findings: &mut Vec<Finding>) {
         let (fields, regions) = parse_structs(decl_file);
         for field in fields.iter().filter(|f| f.struct_name.ends_with("Stats")) {
             let in_decl = |f: &File, line: usize| {
-                f.path == decl_file.path
-                    && regions.iter().any(|r| line >= r.start && line <= r.end)
+                f.path == decl_file.path && regions.iter().any(|r| line >= r.start && line <= r.end)
             };
             // Updated: some `.field` access outside the declaration.
             let updated = files.iter().any(|f| {
-                live_lines(f).any(|l| {
-                    !in_decl(f, l.number) && has_member_access(&l.code, &field.name)
-                })
+                live_lines(f)
+                    .any(|l| !in_decl(f, l.number) && has_member_access(&l.code, &field.name))
             });
             // Surfaced: the field participates in the reporting layer —
             // the declaring file's methods or the bench report.
@@ -373,9 +389,7 @@ fn stats_discipline(files: &[File], findings: &mut Vec<Finding>) {
                 .iter()
                 .filter(|f| f.path == decl_file.path || f.path == "crates/bench/src/report.rs")
                 .any(|f| {
-                    live_lines(f).any(|l| {
-                        !in_decl(f, l.number) && has_token(&l.code, &field.name)
-                    })
+                    live_lines(f).any(|l| !in_decl(f, l.number) && has_token(&l.code, &field.name))
                 });
             if !updated {
                 emit(
@@ -415,8 +429,7 @@ fn config_discipline(files: &[File], findings: &mut Vec<Finding>) {
     let (fields, _) = parse_structs(decl_file);
     for field in &fields {
         let read_elsewhere = files.iter().any(|f| {
-            f.path != decl_file.path
-                && live_lines(f).any(|l| has_token(&l.code, &field.name))
+            f.path != decl_file.path && live_lines(f).any(|l| has_token(&l.code, &field.name))
         });
         if !read_elsewhere {
             emit(
@@ -483,7 +496,10 @@ mod tests {
             let live: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
             assert_eq!(live.len(), 1, "{krate}");
             assert_eq!(live[0].line, 2);
-            assert_eq!(findings.iter().filter(|f| f.suppressed.is_some()).count(), 1);
+            assert_eq!(
+                findings.iter().filter(|f| f.suppressed.is_some()).count(),
+                1
+            );
         }
         // Harness crates and integration tests are outside the scope.
         assert!(run_all(&[file("crates/bench/src/x.rs", src)]).is_empty());
@@ -527,7 +543,10 @@ mod tests {
             "crates/core/src/config.rs",
             "pub struct CoreConfig {\n    pub width: usize,\n    pub ghost: usize,\n}\n",
         );
-        let user = file("crates/core/src/pipeline.rs", "fn f(w: usize) { let _ = w; }\nfn g(c: &C) -> usize { c.width }\n");
+        let user = file(
+            "crates/core/src/pipeline.rs",
+            "fn f(w: usize) { let _ = w; }\nfn g(c: &C) -> usize { c.width }\n",
+        );
         let findings = run_all(&[config, user]);
         let r4: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Config).collect();
         assert_eq!(r4.len(), 1);
@@ -555,9 +574,15 @@ mod tests {
             "crates/core/src/stats.rs",
             "pub struct FooStats {\n    pub wide: u64,\n    pub narrow: u32,\n}\nimpl FooStats { pub fn r(&self) -> u64 { self.wide + self.narrow as u64 } }\n",
         );
-        let user = file("crates/core/src/lib.rs", "fn f(s: &S) { s.wide; s.narrow; }\n");
+        let user = file(
+            "crates/core/src/lib.rs",
+            "fn f(s: &S) { s.wide; s.narrow; }\n",
+        );
         let findings = run_all(&[stats, user]);
-        let r5: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Counter).collect();
+        let r5: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::Counter)
+            .collect();
         assert_eq!(r5.len(), 1);
         assert!(r5[0].message.contains("narrow"));
     }

@@ -50,7 +50,11 @@ pub fn to_sarif(report: &Report) -> String {
             results.push(',');
         }
         let rule_index = HOST_RULES.iter().position(|(r, _)| *r == f.rule);
-        let level = if f.suppressed.is_some() { "note" } else { "error" };
+        let level = if f.suppressed.is_some() {
+            "note"
+        } else {
+            "error"
+        };
         let _ = write!(
             results,
             "{{\"ruleId\":\"{}\",{}\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}}",
@@ -212,9 +216,6 @@ mod tests {
     #[test]
     fn validator_rejects_structural_drift() {
         assert!(validate_sarif("{}").is_err());
-        assert!(validate_sarif(
-            "{\"$schema\":\"s\",\"version\":\"2.0.0\",\"runs\":[]}"
-        )
-        .is_err());
+        assert!(validate_sarif("{\"$schema\":\"s\",\"version\":\"2.0.0\",\"runs\":[]}").is_err());
     }
 }

@@ -50,8 +50,12 @@ fn r3_fires_on_dead_and_unsurfaced_stats_fields() {
     let bad = analyze("r3_bad");
     let r3: Vec<_> = bad.live().filter(|f| f.rule.id() == "R3").collect();
     assert_eq!(r3.len(), 2, "{}", bad.to_text());
-    assert!(r3.iter().any(|f| f.message.contains("`RunStats.dead` is never updated")));
-    assert!(r3.iter().any(|f| f.message.contains("`RunStats.hidden` is never surfaced")));
+    assert!(r3
+        .iter()
+        .any(|f| f.message.contains("`RunStats.dead` is never updated")));
+    assert!(r3
+        .iter()
+        .any(|f| f.message.contains("`RunStats.hidden` is never surfaced")));
 
     let good = analyze("r3_good");
     assert!(live_ids(&good).is_empty(), "{}", good.to_text());
@@ -62,7 +66,10 @@ fn r4_fires_on_unread_config_fields() {
     let bad = analyze("r4_bad");
     let ids = live_ids(&bad);
     assert_eq!(ids, ["R4"], "{}", bad.to_text());
-    assert!(bad.live().next().is_some_and(|f| f.message.contains("ghost")));
+    assert!(bad
+        .live()
+        .next()
+        .is_some_and(|f| f.message.contains("ghost")));
 
     let good = analyze("r4_good");
     assert!(live_ids(&good).is_empty(), "{}", good.to_text());
@@ -95,7 +102,11 @@ fn r9_fires_on_shared_writes_and_relaxed_control_flow() {
     let bad = analyze("r9_bad");
     let ids = live_ids(&bad);
     assert_eq!(ids, ["R9", "R9"], "{}", bad.to_text());
-    assert!(bad.live().any(|f| f.message.contains("total")), "{}", bad.to_text());
+    assert!(
+        bad.live().any(|f| f.message.contains("total")),
+        "{}",
+        bad.to_text()
+    );
     assert!(
         bad.live().any(|f| f.message.contains("Relaxed")),
         "{}",
@@ -111,7 +122,11 @@ fn r9_fires_on_shared_writes_and_relaxed_control_flow() {
 fn r10_fires_on_opposite_lock_orders_and_not_on_a_fixed_order() {
     let bad = analyze("r10_bad");
     let ids = live_ids(&bad);
-    assert!(!ids.is_empty() && ids.iter().all(|id| *id == "R10"), "{}", bad.to_text());
+    assert!(
+        !ids.is_empty() && ids.iter().all(|id| *id == "R10"),
+        "{}",
+        bad.to_text()
+    );
     assert!(
         bad.live().any(|f| f.message.contains("fixed order")),
         "{}",

@@ -14,67 +14,75 @@ use vpir_workloads::{Bench, Scale};
 fn bench_cache() {
     let mut cache = Cache::new(CacheConfig::table1_data());
     let mut t = 0u64;
-    group("cache").throughput(1024).bench("access_mixed_1k", || {
-        for i in 0..1024u64 {
-            t += 1;
-            let addr = (i * 2654435761) & 0x3_ffff;
-            black_box(cache.access(t, addr, i % 4 == 0));
-        }
-    });
+    group("cache")
+        .throughput(1024)
+        .bench("access_mixed_1k", || {
+            for i in 0..1024u64 {
+                t += 1;
+                let addr = (i * 2654435761) & 0x3_ffff;
+                black_box(cache.access(t, addr, i % 4 == 0));
+            }
+        });
 }
 
 fn bench_gshare() {
     let mut bp = Gshare::table1();
-    group("gshare").throughput(1024).bench("predict_update_1k", || {
-        for i in 0..1024u64 {
-            let pc = 0x1000 + (i % 64) * 4;
-            let (taken, token) = bp.predict(pc);
-            bp.update(pc, i % 3 == 0, token);
-            if taken != (i % 3 == 0) {
-                bp.recover(token, i % 3 == 0);
+    group("gshare")
+        .throughput(1024)
+        .bench("predict_update_1k", || {
+            for i in 0..1024u64 {
+                let pc = 0x1000 + (i % 64) * 4;
+                let (taken, token) = bp.predict(pc);
+                bp.update(pc, i % 3 == 0, token);
+                if taken != (i % 3 == 0) {
+                    bp.recover(token, i % 3 == 0);
+                }
             }
-        }
-    });
+        });
 }
 
 fn bench_vpt() {
     let mut vp = MagicPredictor::new(VptConfig::table1());
-    group("vpt").throughput(1024).bench("magic_predict_train_1k", || {
-        for i in 0..1024u64 {
-            let pc = 0x1000 + (i % 128) * 4;
-            let v = i % 5;
-            black_box(vp.predict(pc, Some(v)));
-            vp.train(pc, v);
-        }
-    });
+    group("vpt")
+        .throughput(1024)
+        .bench("magic_predict_train_1k", || {
+            for i in 0..1024u64 {
+                let pc = 0x1000 + (i % 128) * 4;
+                let v = i % 5;
+                black_box(vp.predict(pc, Some(v)));
+                vp.train(pc, v);
+            }
+        });
 }
 
 fn bench_rb() {
     let mut rb = ReuseBuffer::new(RbConfig::table1());
-    group("reuse_buffer").throughput(1024).bench("insert_lookup_1k", || {
-        for i in 0..1024u64 {
-            let pc = 0x1000 + (i % 128) * 4;
-            let a = i % 4;
-            rb.insert(RbInsert {
-                pc,
-                op: vpir_isa::Op::Add,
-                srcs: [
-                    Some((vpir_isa::Reg::int(2), a)),
-                    Some((vpir_isa::Reg::int(3), 7)),
-                ],
-                result: Some(a + 7),
-                ..RbInsert::default()
-            });
-            let view = move |r: vpir_isa::Reg| {
-                if r == vpir_isa::Reg::int(2) {
-                    OperandView::settled(a)
-                } else {
-                    OperandView::settled(7)
-                }
-            };
-            black_box(rb.lookup(pc, vpir_isa::Op::Add, &view, &[]));
-        }
-    });
+    group("reuse_buffer")
+        .throughput(1024)
+        .bench("insert_lookup_1k", || {
+            for i in 0..1024u64 {
+                let pc = 0x1000 + (i % 128) * 4;
+                let a = i % 4;
+                rb.insert(RbInsert {
+                    pc,
+                    op: vpir_isa::Op::Add,
+                    srcs: [
+                        Some((vpir_isa::Reg::int(2), a)),
+                        Some((vpir_isa::Reg::int(3), 7)),
+                    ],
+                    result: Some(a + 7),
+                    ..RbInsert::default()
+                });
+                let view = move |r: vpir_isa::Reg| {
+                    if r == vpir_isa::Reg::int(2) {
+                        OperandView::settled(a)
+                    } else {
+                        OperandView::settled(7)
+                    }
+                };
+                black_box(rb.lookup(pc, vpir_isa::Op::Add, &view, &[]));
+            }
+        });
 }
 
 fn bench_functional() {
@@ -87,11 +95,13 @@ fn bench_functional() {
         halt",
     )
     .expect("assembles");
-    group("functional_machine").throughput(4002).bench("interp_4k_insts", || {
-        let mut m = Machine::new(&prog);
-        m.run(10_000).expect("runs");
-        black_box(m.icount)
-    });
+    group("functional_machine")
+        .throughput(4002)
+        .bench("interp_4k_insts", || {
+            let mut m = Machine::new(&prog);
+            m.run(10_000).expect("runs");
+            black_box(m.icount)
+        });
 }
 
 fn bench_pipeline() {

@@ -37,14 +37,24 @@ fn fig3_early_validation() {
 /// Figure 4: branch resolution latency across configurations.
 fn fig4_branch_resolution() {
     group("fig4").bench("resolution_latency", || {
-        let sb = run_one(Bench::Go, Scale::of(1), CoreConfig::with_vp(VpConfig::magic()), CYCLES);
+        let sb = run_one(
+            Bench::Go,
+            Scale::of(1),
+            CoreConfig::with_vp(VpConfig::magic()),
+            CYCLES,
+        );
         let nsb = run_one(
             Bench::Go,
             Scale::of(1),
             CoreConfig::with_vp(VpConfig::magic().with_branches(BranchResolution::Nsb)),
             CYCLES,
         );
-        let ir = run_one(Bench::Go, Scale::of(1), CoreConfig::with_ir(IrConfig::table1()), CYCLES);
+        let ir = run_one(
+            Bench::Go,
+            Scale::of(1),
+            CoreConfig::with_ir(IrConfig::table1()),
+            CYCLES,
+        );
         black_box((
             sb.branch_resolution_latency(),
             nsb.branch_resolution_latency(),
@@ -57,8 +67,18 @@ fn fig4_branch_resolution() {
 fn fig5_contention() {
     group("fig5").bench("contention", || {
         let base = run_one(Bench::Compress, Scale::of(1), CoreConfig::table1(), CYCLES);
-        let vp = run_one(Bench::Compress, Scale::of(1), CoreConfig::with_vp(VpConfig::magic()), CYCLES);
-        let ir = run_one(Bench::Compress, Scale::of(1), CoreConfig::with_ir(IrConfig::table1()), CYCLES);
+        let vp = run_one(
+            Bench::Compress,
+            Scale::of(1),
+            CoreConfig::with_vp(VpConfig::magic()),
+            CYCLES,
+        );
+        let ir = run_one(
+            Bench::Compress,
+            Scale::of(1),
+            CoreConfig::with_ir(IrConfig::table1()),
+            CYCLES,
+        );
         black_box((base.contention(), vp.contention(), ir.contention()))
     });
 }
@@ -67,7 +87,12 @@ fn fig5_contention() {
 fn fig6_speedup_magic() {
     group("fig6").bench("magic_speedups", || {
         let base = run_one(Bench::Ijpeg, Scale::of(1), CoreConfig::table1(), CYCLES);
-        let vp = run_one(Bench::Ijpeg, Scale::of(1), CoreConfig::with_vp(VpConfig::magic()), CYCLES);
+        let vp = run_one(
+            Bench::Ijpeg,
+            Scale::of(1),
+            CoreConfig::with_vp(VpConfig::magic()),
+            CYCLES,
+        );
         black_box(vp.ipc() / base.ipc().max(1e-9))
     });
 }
@@ -76,7 +101,12 @@ fn fig6_speedup_magic() {
 fn fig7_speedup_lvp() {
     group("fig7").bench("lvp_speedups", || {
         let base = run_one(Bench::Gcc, Scale::of(1), CoreConfig::table1(), CYCLES);
-        let vp = run_one(Bench::Gcc, Scale::of(1), CoreConfig::with_vp(VpConfig::lvp()), CYCLES);
+        let vp = run_one(
+            Bench::Gcc,
+            Scale::of(1),
+            CoreConfig::with_vp(VpConfig::lvp()),
+            CYCLES,
+        );
         black_box(vp.ipc() / base.ipc().max(1e-9))
     });
 }

@@ -35,8 +35,18 @@ fn table2_base_characterization() {
 fn table3_rates() {
     group("table3").bench("rate_runs", || {
         let bench = Bench::Compress;
-        let ir = run_one(bench, Scale::of(1), CoreConfig::with_ir(IrConfig::table1()), 60_000);
-        let vp = run_one(bench, Scale::of(1), CoreConfig::with_vp(VpConfig::magic()), 60_000);
+        let ir = run_one(
+            bench,
+            Scale::of(1),
+            CoreConfig::with_ir(IrConfig::table1()),
+            60_000,
+        );
+        let vp = run_one(
+            bench,
+            Scale::of(1),
+            CoreConfig::with_vp(VpConfig::magic()),
+            60_000,
+        );
         black_box((ir.reuse_addr_rate(), vp.vp_result_rate()))
     });
 }
@@ -60,7 +70,12 @@ fn table4_spurious_squashes() {
 /// Table 5: squashed-work recovery under IR.
 fn table5_squash_recovery() {
     group("table5").bench("recovery_runs", || {
-        let s = run_one(Bench::Go, Scale::of(1), CoreConfig::with_ir(IrConfig::table1()), 60_000);
+        let s = run_one(
+            Bench::Go,
+            Scale::of(1),
+            CoreConfig::with_ir(IrConfig::table1()),
+            60_000,
+        );
         black_box((s.squashed_exec_rate(), s.squash_recovery_rate()))
     });
 }
@@ -70,7 +85,11 @@ fn table6_reexecution() {
     group("table6").bench("histogram_runs", || {
         let vp = VpConfig::magic().with_verify_latency(1);
         let s = run_one(Bench::Gcc, Scale::of(1), CoreConfig::with_vp(vp), 60_000);
-        black_box([s.exec_times_rate(1), s.exec_times_rate(2), s.exec_times_rate(3)])
+        black_box([
+            s.exec_times_rate(1),
+            s.exec_times_rate(2),
+            s.exec_times_rate(3),
+        ])
     });
 }
 

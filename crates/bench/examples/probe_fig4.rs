@@ -2,7 +2,9 @@
 //! shape check), at the paper_claims test scale. Optional arg filters
 //! to one benchmark.
 
-use vpir_core::{BranchResolution, CoreConfig, Reexecution, RunLimits, Simulator, VpConfig, VpKind};
+use vpir_core::{
+    BranchResolution, CoreConfig, Reexecution, RunLimits, Simulator, VpConfig, VpKind,
+};
 use vpir_workloads::{Bench, Scale};
 
 fn main() {
@@ -15,7 +17,10 @@ fn main() {
         }
         let prog = bench.program(Scale::of(2));
         let mut lat = [0.0f64; 2];
-        for (i, br) in [BranchResolution::Sb, BranchResolution::Nsb].into_iter().enumerate() {
+        for (i, br) in [BranchResolution::Sb, BranchResolution::Nsb]
+            .into_iter()
+            .enumerate()
+        {
             let cfg = CoreConfig::with_vp(VpConfig {
                 kind: VpKind::Magic,
                 reexecution: Reexecution::Me,
@@ -24,7 +29,10 @@ fn main() {
                 ..VpConfig::magic()
             });
             let mut sim = Simulator::new(&prog, cfg);
-            sim.run(RunLimits { max_cycles: 400_000, max_insts: 120_000 });
+            sim.run(RunLimits {
+                max_cycles: 400_000,
+                max_insts: 120_000,
+            });
             lat[i] = sim.stats().branch_resolution_latency();
         }
         println!(

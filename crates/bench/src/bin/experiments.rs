@@ -61,8 +61,10 @@ fn main() -> ExitCode {
                 match b {
                     Some(b) => only_bench = Some(b),
                     None => {
-                        eprintln!("unknown benchmark; choose from: {:?}",
-                            Bench::ALL.map(|b| b.name()));
+                        eprintln!(
+                            "unknown benchmark; choose from: {:?}",
+                            Bench::ALL.map(|b| b.name())
+                        );
                         return ExitCode::FAILURE;
                     }
                 }
@@ -128,13 +130,30 @@ fn hybrid(cfg: MatrixConfig, only: Option<Bench>) -> String {
         None => Bench::ALL.to_vec(),
     };
     let mut t = Table::new(&[
-        "Bench", "VP", "IR", "hyb(magic)", "hyb(lvp)", "hyb(stride)", "hyb reuse%", "hyb pred%",
+        "Bench",
+        "VP",
+        "IR",
+        "hyb(magic)",
+        "hyb(lvp)",
+        "hyb(stride)",
+        "hyb reuse%",
+        "hyb pred%",
     ]);
     for &bench in &benches {
         let base = run_one(bench, cfg.scale, CoreConfig::table1(), cfg.max_cycles);
         let b = base.ipc().max(1e-9);
-        let vp = run_one(bench, cfg.scale, CoreConfig::with_vp(VpConfig::magic()), cfg.max_cycles);
-        let ir = run_one(bench, cfg.scale, CoreConfig::with_ir(IrConfig::table1()), cfg.max_cycles);
+        let vp = run_one(
+            bench,
+            cfg.scale,
+            CoreConfig::with_vp(VpConfig::magic()),
+            cfg.max_cycles,
+        );
+        let ir = run_one(
+            bench,
+            cfg.scale,
+            CoreConfig::with_ir(IrConfig::table1()),
+            cfg.max_cycles,
+        );
         let mut row = vec![
             bench.name().to_string(),
             format!("{:.3}", vp.ipc() / b),
@@ -142,7 +161,10 @@ fn hybrid(cfg: MatrixConfig, only: Option<Bench>) -> String {
         ];
         let mut magic_stats = None;
         for kind in [VpKind::Magic, VpKind::Lvp, VpKind::Stride] {
-            let hv = VpConfig { kind, ..VpConfig::magic() };
+            let hv = VpConfig {
+                kind,
+                ..VpConfig::magic()
+            };
             let h = run_one(
                 bench,
                 cfg.scale,
@@ -174,7 +196,12 @@ fn frontend(cfg: MatrixConfig, only: Option<Bench>) -> String {
         None => Bench::ALL.to_vec(),
     };
     let mut t = Table::new(&[
-        "Bench", "FE", "base IPC", "br pred%", "VP speedup", "IR speedup",
+        "Bench",
+        "FE",
+        "base IPC",
+        "br pred%",
+        "VP speedup",
+        "IR speedup",
     ]);
     for &bench in &benches {
         for fe in [FrontEnd::Gshare, FrontEnd::Bimodal, FrontEnd::StaticTaken] {
@@ -230,7 +257,10 @@ fn ablations(cfg: MatrixConfig, only: Option<Bench>) -> String {
         }
         t.row_owned(row);
     }
-    out.push_str(&format!("Ablation: reuse-test scheme vs reuse rate\n\n{}\n", t.render()));
+    out.push_str(&format!(
+        "Ablation: reuse-test scheme vs reuse rate\n\n{}\n",
+        t.render()
+    ));
 
     // 2. RB size sweep (entries at fixed 4-way associativity).
     let mut t = Table::new(&["Bench", "256", "1K", "4K", "16K"]);
@@ -249,10 +279,21 @@ fn ablations(cfg: MatrixConfig, only: Option<Bench>) -> String {
         }
         t.row_owned(row);
     }
-    out.push_str(&format!("Ablation: RB entries vs reuse rate (%)\n\n{}\n", t.render()));
+    out.push_str(&format!(
+        "Ablation: RB entries vs reuse rate (%)\n\n{}\n",
+        t.render()
+    ));
 
     // 3. VPT confidence threshold sweep (Magic, ME-SB, 0-cycle).
-    let mut t = Table::new(&["Bench", "thr1 pred%", "thr1 mis%", "thr2 pred%", "thr2 mis%", "thr3 pred%", "thr3 mis%"]);
+    let mut t = Table::new(&[
+        "Bench",
+        "thr1 pred%",
+        "thr1 mis%",
+        "thr2 pred%",
+        "thr2 mis%",
+        "thr3 pred%",
+        "thr3 mis%",
+    ]);
     for &bench in &benches {
         let mut row = vec![bench.name().to_string()];
         for thr in [1u8, 2, 3] {
@@ -276,7 +317,9 @@ fn ablations(cfg: MatrixConfig, only: Option<Bench>) -> String {
 
     // 4. ROB-size sensitivity: how much of each mechanism's benefit
     // depends on the window (the paper fixes it at 32).
-    let mut t = Table::new(&["Bench", "rob16 VP", "rob16 IR", "rob32 VP", "rob32 IR", "rob64 VP", "rob64 IR"]);
+    let mut t = Table::new(&[
+        "Bench", "rob16 VP", "rob16 IR", "rob32 VP", "rob32 IR", "rob64 VP", "rob64 IR",
+    ]);
     for &bench in &benches {
         let mut row = vec![bench.name().to_string()];
         for rob in [16usize, 32, 64] {

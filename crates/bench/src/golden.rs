@@ -24,8 +24,14 @@ use crate::state::{limit_to_json, stats_to_json};
 /// The configuration families pinned by the golden suite: the paper's
 /// baseline, one representative VP cell, both IR validation policies,
 /// one trace-reuse cell, and the functional limit study.
-pub const GOLDEN_LABELS: [&str; 6] =
-    ["base", "magic:ME-SB:vl1", "ir_early", "ir_late", "rtb:t8", "limit"];
+pub const GOLDEN_LABELS: [&str; 6] = [
+    "base",
+    "magic:ME-SB:vl1",
+    "ir_early",
+    "ir_late",
+    "rtb:t8",
+    "limit",
+];
 
 /// FNV-1a 64-bit over one byte string (the digest of a serialized run).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

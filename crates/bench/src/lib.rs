@@ -26,7 +26,7 @@ pub mod report;
 pub mod state;
 
 pub use matrix::{
-    config_for_label, config_labels, parse_vp_label, BenchRuns, FaultMode, InjectFault,
-    JobFailure, Matrix, MatrixConfig, MatrixOutcome, RunOptions, VpKey,
+    config_for_label, config_labels, parse_vp_label, BenchRuns, FaultMode, InjectFault, JobFailure,
+    Matrix, MatrixConfig, MatrixOutcome, RunOptions, VpKey,
 };
 pub use perf::{run_matrix_timed, run_matrix_timed_opts, MatrixPerf};

@@ -326,9 +326,9 @@ impl InjectFault {
         } else {
             (spec, FaultMode::Wedge)
         };
-        let (bench, config) = target
-            .split_once('/')
-            .ok_or_else(|| format!("bad fault target `{spec}`: want <bench>/<config>[:panic|:wedge]"))?;
+        let (bench, config) = target.split_once('/').ok_or_else(|| {
+            format!("bad fault target `{spec}`: want <bench>/<config>[:panic|:wedge]")
+        })?;
         if bench.is_empty() || config.is_empty() {
             return Err(format!("bad fault target `{spec}`: empty bench or config"));
         }
@@ -441,7 +441,11 @@ fn run_job_checked(
                         .to_string(),
                 });
             }
-            Ok(JobOut::Limit(analyze(prog, cfg.limit_insts, LimitConfig::default())))
+            Ok(JobOut::Limit(analyze(
+                prog,
+                cfg.limit_insts,
+                LimitConfig::default(),
+            )))
         }
     }
 }
@@ -545,14 +549,17 @@ fn persist_slot(
                 "  \"bench\": \"{}\",\n",
                 state::json_escape(bench.name())
             ));
-            out.push_str(&format!("  \"config\": \"{}\",\n", state::json_escape(label)));
+            out.push_str(&format!(
+                "  \"config\": \"{}\",\n",
+                state::json_escape(label)
+            ));
             out.push_str(&format!("  \"kind\": \"{}\",\n", state::json_escape(kind)));
-            out.push_str(&format!("  \"error\": \"{}\",\n", state::json_escape(error)));
+            out.push_str(&format!(
+                "  \"error\": \"{}\",\n",
+                state::json_escape(error)
+            ));
             match sim_json {
-                Some(j) => out.push_str(&format!(
-                    "  \"sim_error\": {}\n",
-                    j.replace('\n', "\n  ")
-                )),
+                Some(j) => out.push_str(&format!("  \"sim_error\": {}\n", j.replace('\n', "\n  "))),
                 None => out.push_str("  \"sim_error\": null\n"),
             }
             out.push_str("}\n");
@@ -592,8 +599,7 @@ pub fn run_matrix_outcome(
         let _ = std::fs::create_dir_all(dir);
     }
 
-    let results: Vec<Mutex<Option<SlotOut>>> =
-        job_list.iter().map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<SlotOut>>> = job_list.iter().map(|_| Mutex::new(None)).collect();
 
     // Resume preload, single-threaded before any worker starts: a
     // reloaded cell fills its slot and is skipped by the claim loop.
@@ -601,7 +607,9 @@ pub fn run_matrix_outcome(
     if opts.resume {
         if let Some(dir) = &opts.dump_dir {
             for (i, &(bi, kind)) in job_list.iter().enumerate() {
-                let Some(rec) = state::load_job(dir, i) else { continue };
+                let Some(rec) = state::load_job(dir, i) else {
+                    continue;
+                };
                 if !record_matches(&rec, benches[bi], cfg, kind) {
                     continue;
                 }
@@ -624,7 +632,9 @@ pub fn run_matrix_outcome(
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(bi, kind)) = job_list.get(i) else { break };
+                let Some(&(bi, kind)) = job_list.get(i) else {
+                    break;
+                };
                 let resumed = results[i].lock().expect("no poisoned worker").is_some();
                 if resumed {
                     continue;
@@ -651,7 +661,9 @@ pub fn run_matrix_outcome(
         let (bi, kind) = job_list[i];
         match m.into_inner().expect("workers done").expect("job ran") {
             SlotOut::Done(out) => outs.push(Some(out)),
-            SlotOut::Failed { kind: fkind, error, .. } => {
+            SlotOut::Failed {
+                kind: fkind, error, ..
+            } => {
                 failures.push(JobFailure {
                     job_index: i,
                     bench: benches[bi].name().to_string(),
@@ -771,7 +783,15 @@ mod tests {
             }
         }
         assert_eq!(config_labels().len(), job_kinds().len());
-        for bad in ["", "basex", "magic:ME-SB", "magic:XX-SB:vl1", "vl1", "rtb:t5", "rtb:"] {
+        for bad in [
+            "",
+            "basex",
+            "magic:ME-SB",
+            "magic:XX-SB:vl1",
+            "vl1",
+            "rtb:t5",
+            "rtb:",
+        ] {
             assert!(config_for_label(bad).is_none(), "accepted `{bad}`");
         }
     }

@@ -14,8 +14,8 @@ use std::time::Instant;
 use vpir_workloads::Bench;
 
 use crate::matrix::{
-    build_programs, default_jobs, run_bench, run_matrix_outcome, JobFailure, Matrix,
-    MatrixConfig, MatrixOutcome, RunOptions,
+    build_programs, default_jobs, run_bench, run_matrix_outcome, JobFailure, Matrix, MatrixConfig,
+    MatrixOutcome, RunOptions,
 };
 use crate::state::json_escape;
 
@@ -199,7 +199,11 @@ impl MatrixPerf {
             }
             s.push('}');
         }
-        s.push_str(if self.failures.is_empty() { "],\n" } else { "\n  ],\n" });
+        s.push_str(if self.failures.is_empty() {
+            "],\n"
+        } else {
+            "\n  ],\n"
+        });
         s.push_str("  \"phases\": {\n");
         s.push_str(&format!(
             "    \"build_programs_seconds\": {:.6},\n",

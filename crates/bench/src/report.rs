@@ -33,7 +33,10 @@ pub fn table2(m: &Matrix) -> String {
             fmt(r.base.return_pred_rate()),
         ]);
     }
-    format!("Table 2: benchmarks, committed instructions, prediction rates\n\n{}", t.render())
+    format!(
+        "Table 2: benchmarks, committed instructions, prediction rates\n\n{}",
+        t.render()
+    )
 }
 
 /// Table 3: reuse and value-prediction rates.
@@ -82,10 +85,22 @@ pub fn table3(m: &Matrix) -> String {
 /// (value-misprediction-induced) branch resolutions, SB configurations.
 pub fn table4(m: &Matrix) -> String {
     let keys: [(&str, VpKey); 4] = [
-        ("Magic ME-SB", (VpKind::Magic, Reexecution::Me, BranchResolution::Sb, 0)),
-        ("Magic NME-SB", (VpKind::Magic, Reexecution::Nme, BranchResolution::Sb, 0)),
-        ("LVP ME-SB", (VpKind::Lvp, Reexecution::Me, BranchResolution::Sb, 0)),
-        ("LVP NME-SB", (VpKind::Lvp, Reexecution::Nme, BranchResolution::Sb, 0)),
+        (
+            "Magic ME-SB",
+            (VpKind::Magic, Reexecution::Me, BranchResolution::Sb, 0),
+        ),
+        (
+            "Magic NME-SB",
+            (VpKind::Magic, Reexecution::Nme, BranchResolution::Sb, 0),
+        ),
+        (
+            "LVP ME-SB",
+            (VpKind::Lvp, Reexecution::Me, BranchResolution::Sb, 0),
+        ),
+        (
+            "LVP NME-SB",
+            (VpKind::Lvp, Reexecution::Nme, BranchResolution::Sb, 0),
+        ),
     ];
     let mut t = Table::new(&["Bench", keys[0].0, keys[1].0, keys[2].0, keys[3].0]);
     for r in &m.runs {
@@ -210,7 +225,12 @@ pub fn fig4(m: &Matrix) -> String {
     for vl in [0u32, 1] {
         let keys = magic_keys(vl);
         let mut t = Table::new(&[
-            "Bench", &keys[0].0, &keys[1].0, &keys[2].0, &keys[3].0, "reuse-n+d",
+            "Bench",
+            &keys[0].0,
+            &keys[1].0,
+            &keys[2].0,
+            &keys[3].0,
+            "reuse-n+d",
         ]);
         for r in &m.runs {
             let base = r.base.branch_resolution_latency().max(1e-9);
@@ -235,7 +255,12 @@ pub fn fig4(m: &Matrix) -> String {
 pub fn fig5(m: &Matrix) -> String {
     let keys = magic_keys(0);
     let mut t = Table::new(&[
-        "Bench", &keys[0].0, &keys[1].0, &keys[2].0, &keys[3].0, "reuse-n+d",
+        "Bench",
+        &keys[0].0,
+        &keys[1].0,
+        &keys[2].0,
+        &keys[3].0,
+        "reuse-n+d",
     ]);
     for r in &m.runs {
         let base = r.base.contention().max(1e-9);
@@ -258,7 +283,12 @@ pub fn fig6(m: &Matrix) -> String {
     for vl in [0u32, 1] {
         let keys = magic_keys(vl);
         let mut t = Table::new(&[
-            "Bench", &keys[0].0, &keys[1].0, &keys[2].0, &keys[3].0, "reuse-n+d",
+            "Bench",
+            &keys[0].0,
+            &keys[1].0,
+            &keys[2].0,
+            &keys[3].0,
+            "reuse-n+d",
         ]);
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 5];
         for r in &m.runs {
@@ -293,9 +323,7 @@ pub fn fig7(m: &Matrix) -> String {
     let mut out = String::new();
     for vl in [0u32, 1] {
         let keys = lvp_keys(vl);
-        let mut t = Table::new(&[
-            "Bench", &keys[0].0, &keys[1].0, &keys[2].0, &keys[3].0,
-        ]);
+        let mut t = Table::new(&["Bench", &keys[0].0, &keys[1].0, &keys[2].0, &keys[3].0]);
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
         for r in &m.runs {
             let mut row = vec![r.bench.name().to_string()];
@@ -346,7 +374,12 @@ pub fn fig9(m: &Matrix) -> String {
     let mut t = Table::new(&["Bench", "prod reused", "dist >= 50", "dist < 50"]);
     for r in &m.runs {
         let (pr, far, near) = r.limit.readiness_pct();
-        t.row_owned(vec![r.bench.name().to_string(), fmt(pr), fmt(far), fmt(near)]);
+        t.row_owned(vec![
+            r.bench.name().to_string(),
+            fmt(pr),
+            fmt(far),
+            fmt(near),
+        ]);
     }
     format!(
         "Figure 9: repeated instructions by input readiness (% of repeated)\n\n{}",
@@ -424,7 +457,16 @@ pub fn rtb_table(m: &Matrix) -> String {
     // the committed reuse lands: dominant instruction class and the
     // loop-depth distribution (depth 0 = straight-line, 4+ pooled).
     let mut attr = Table::new(&[
-        "Bench", "captured", "inv", "drop", "top class", "d0%", "d1%", "d2%", "d3%", "d4+%",
+        "Bench",
+        "captured",
+        "inv",
+        "drop",
+        "top class",
+        "d0%",
+        "d1%",
+        "d2%",
+        "d3%",
+        "d4+%",
     ]);
     for r in &m.runs {
         let Some(s) = r.rtb.get(&8) else { continue };
@@ -531,7 +573,10 @@ mod tests {
             limit_insts: 40_000,
         };
         Matrix {
-            runs: vec![run_bench(Bench::Ijpeg, cfg), run_bench(Bench::Compress, cfg)],
+            runs: vec![
+                run_bench(Bench::Ijpeg, cfg),
+                run_bench(Bench::Compress, cfg),
+            ],
         }
     }
 
@@ -554,7 +599,10 @@ mod tests {
             ("fig10", fig10(&m)),
             ("rtb_table", rtb_table(&m)),
         ] {
-            assert!(render.contains("ijpeg"), "{name} must list benchmarks:\n{render}");
+            assert!(
+                render.contains("ijpeg"),
+                "{name} must list benchmarks:\n{render}"
+            );
             assert!(render.lines().count() >= 4, "{name} too short");
         }
         assert!(all(&m).len() > 1000);

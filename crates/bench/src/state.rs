@@ -107,7 +107,10 @@ pub fn stats_to_json(s: &SimStats) -> String {
         .u("return_mispredicts", s.return_mispredicts)
         .u("squashes", s.squashes)
         .u("spurious_squashes", s.spurious_squashes)
-        .u("branch_resolution_latency_sum", s.branch_resolution_latency_sum)
+        .u(
+            "branch_resolution_latency_sum",
+            s.branch_resolution_latency_sum,
+        )
         .u("branch_resolution_count", s.branch_resolution_count)
         .u("squashed_executed", s.squashed_executed)
         .u("squash_recovered", s.squash_recovered)
@@ -249,9 +252,7 @@ pub fn stats_from_json(v: &JsonValue) -> Result<SimStats, String> {
     }
     let mut exec_histogram = [0u64; 4];
     for (slot, item) in exec_histogram.iter_mut().zip(hist) {
-        *slot = item
-            .as_u64()
-            .ok_or("non-integer entry in exec_histogram")?;
+        *slot = item.as_u64().ok_or("non-integer entry in exec_histogram")?;
     }
     Ok(SimStats {
         cycles: u(v, "cycles")?,
@@ -356,7 +357,10 @@ impl JobRecord {
         out.push_str(&format!("  \"schema\": \"{JOB_SCHEMA}\",\n"));
         out.push_str(&format!("  \"job_index\": {},\n", self.job_index));
         out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        out.push_str(&format!("  \"config\": \"{}\",\n", json_escape(&self.config)));
+        out.push_str(&format!(
+            "  \"config\": \"{}\",\n",
+            json_escape(&self.config)
+        ));
         out.push_str(&format!("  \"scale\": {},\n", self.scale));
         out.push_str(&format!("  \"max_cycles\": {},\n", self.max_cycles));
         out.push_str(&format!("  \"limit_insts\": {},\n", self.limit_insts));
@@ -384,8 +388,7 @@ impl JobRecord {
                 .map_err(|_| "job_index out of range".to_string())?,
             bench: s(&v, "bench")?,
             config: s(&v, "config")?,
-            scale: u32::try_from(u(&v, "scale")?)
-                .map_err(|_| "scale out of range".to_string())?,
+            scale: u32::try_from(u(&v, "scale")?).map_err(|_| "scale out of range".to_string())?,
             max_cycles: u(&v, "max_cycles")?,
             limit_insts: u(&v, "limit_insts")?,
             payload,
@@ -458,8 +461,16 @@ mod tests {
             fu_denials: 28,
             port_requests: 29,
             port_denials: 30,
-            icache: CacheStats { hits: 31, misses: 32, mshr_merges: 33 },
-            dcache: CacheStats { hits: 34, misses: 35, mshr_merges: 36 },
+            icache: CacheStats {
+                hits: 31,
+                misses: 32,
+                mshr_merges: 33,
+            },
+            dcache: CacheStats {
+                hits: 34,
+                misses: 35,
+                mshr_merges: 36,
+            },
             vpt_result: VptStats {
                 lookups: 37,
                 predictions: 38,
@@ -513,7 +524,10 @@ mod tests {
         let mut stats = full_stats();
         stats.rtb = RtbStats::default();
         let text = stats_to_json(&stats);
-        assert!(!text.contains("\"rtb\""), "default RTB stats must not serialize");
+        assert!(
+            !text.contains("\"rtb\""),
+            "default RTB stats must not serialize"
+        );
         let v = parse_json(&text).expect("parse");
         assert_eq!(stats_from_json(&v).expect("decode"), stats);
 
@@ -575,8 +589,7 @@ mod tests {
         let bad = rec.to_json().replace(JOB_SCHEMA, "vpir-bench-job-v1");
         assert!(JobRecord::from_json(&bad).is_err());
 
-        let dir =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/scratch/state-test");
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/scratch/state-test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         write_job(&dir, &rec).expect("write");
         assert_eq!(load_job(&dir, 3), Some(rec));

@@ -7,8 +7,7 @@
 use std::path::{Path, PathBuf};
 
 use vpir_bench::matrix::{
-    run_benches_jobs, run_matrix_outcome, build_programs, InjectFault, MatrixConfig,
-    RunOptions,
+    build_programs, run_benches_jobs, run_matrix_outcome, InjectFault, MatrixConfig, RunOptions,
 };
 use vpir_bench::perf::{validate_json, REQUIRED_KEYS};
 use vpir_bench::state;
@@ -50,7 +49,10 @@ fn injected_wedge_degrades_one_cell_and_spares_the_rest() {
     assert_eq!(outcome.total_jobs, 22);
     assert_eq!(outcome.completed_jobs, 21, "21 valid cells out of 22");
     assert_eq!(outcome.failures.len(), 1);
-    assert!(outcome.matrix.is_none(), "a failed cell means no full matrix");
+    assert!(
+        outcome.matrix.is_none(),
+        "a failed cell means no full matrix"
+    );
 
     let failure = &outcome.failures[0];
     assert_eq!(failure.bench, "go");
@@ -61,8 +63,19 @@ fn injected_wedge_degrades_one_cell_and_spares_the_rest() {
     // simulator's diagnostic snapshot (ROB state, retired ring).
     let dump_path = failure.dump_path.as_ref().expect("dump enabled");
     let text = std::fs::read_to_string(dump_path).expect("failure dump written");
-    validate_json(&text, &["schema", "job_index", "bench", "config", "kind", "error", "sim_error"])
-        .expect("failure dump is valid JSON");
+    validate_json(
+        &text,
+        &[
+            "schema",
+            "job_index",
+            "bench",
+            "config",
+            "kind",
+            "error",
+            "sim_error",
+        ],
+    )
+    .expect("failure dump is valid JSON");
     assert!(text.contains(state::FAILURE_SCHEMA));
     assert!(text.contains("\"snapshot\""), "snapshot embedded: {text}");
     assert!(text.contains("\"last_retired\""), "retired ring embedded");
@@ -133,7 +146,11 @@ fn an_injected_panic_is_contained_by_the_worker_boundary() {
     assert_eq!(outcome.failures.len(), 1, "exactly the targeted cell fails");
     let failure = &outcome.failures[0];
     assert_eq!(failure.kind, "panic");
-    assert!(failure.error.contains("injected fault"), "{}", failure.error);
+    assert!(
+        failure.error.contains("injected fault"),
+        "{}",
+        failure.error
+    );
     assert!(failure.dump_path.is_none(), "no dump dir, no dump path");
     assert_eq!(outcome.completed_jobs, 21, "the other 21 cells still ran");
 }
@@ -169,10 +186,7 @@ fn sim_error_json_round_trips_the_validator() {
     let value = state::parse_json(&json).expect("parses as a value");
     let snapshot = value.get("snapshot").expect("snapshot present");
     assert!(snapshot.get("last_retired").is_some());
-    assert_eq!(
-        snapshot.get("committed").and_then(|v| v.as_u64()),
-        Some(20)
-    );
+    assert_eq!(snapshot.get("committed").and_then(|v| v.as_u64()), Some(20));
 }
 
 #[test]
@@ -184,8 +198,7 @@ fn v2_report_json_validates_and_carries_the_failure_row() {
         resume: false,
         inject_fault: Some(InjectFault::parse("go/limit").expect("target")),
     };
-    let (outcome, perf) =
-        vpir_bench::run_matrix_timed_opts(&[Bench::Go], cfg, 2, false, &opts);
+    let (outcome, perf) = vpir_bench::run_matrix_timed_opts(&[Bench::Go], cfg, 2, false, &opts);
     assert_eq!(outcome.failures.len(), 1);
 
     let json = perf.to_json();

@@ -30,8 +30,16 @@ fn fixture_cells() -> Vec<(String, String, u64)> {
     cells
         .iter()
         .map(|c| {
-            let bench = c.get("bench").and_then(|v| v.as_str()).expect("bench").to_string();
-            let config = c.get("config").and_then(|v| v.as_str()).expect("config").to_string();
+            let bench = c
+                .get("bench")
+                .and_then(|v| v.as_str())
+                .expect("bench")
+                .to_string();
+            let config = c
+                .get("config")
+                .and_then(|v| v.as_str())
+                .expect("config")
+                .to_string();
             let digest = c.get("digest").and_then(|v| v.as_str()).expect("digest");
             let digest = u64::from_str_radix(digest, 16).expect("hex digest");
             (bench, config, digest)

@@ -223,7 +223,10 @@ mod tests {
             }
             bp.update(0x80, outcome, token);
         }
-        assert!(correct < 200, "bimodal should stay near chance, got {correct}");
+        assert!(
+            correct < 200,
+            "bimodal should stay near chance, got {correct}"
+        );
     }
 
     #[test]
@@ -262,7 +265,10 @@ mod tests {
             bp.update(0x100, true, t);
         }
         assert!(bp.predict(0x100).0);
-        assert!(!bp.predict(0x104).0, "untrained branch still weakly not-taken");
+        assert!(
+            !bp.predict(0x104).0,
+            "untrained branch still weakly not-taken"
+        );
     }
 
     #[test]

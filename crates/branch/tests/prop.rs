@@ -72,8 +72,8 @@ fn gshare_update_trains_the_predicting_counter() {
             bp.update(pc, true, token);
             // Re-query with the history forced back to the token.
             bp.recover(token, true); // history now (token<<1)|1
-            // No assertion on direction (history differs), but training
-            // must never panic or corrupt state; a full sweep follows.
+                                     // No assertion on direction (history differs), but training
+                                     // must never panic or corrupt state; a full sweep follows.
         }
     });
 }
@@ -91,7 +91,11 @@ fn biased_stream_converges() {
             let mut b = Bimodal::new(12);
             for i in 0..200 {
                 let taken = true;
-                let (p, token) = if mode == 0 { g.predict(pc) } else { b.predict(pc) };
+                let (p, token) = if mode == 0 {
+                    g.predict(pc)
+                } else {
+                    b.predict(pc)
+                };
                 if i >= 50 {
                     total += 1;
                     if p == taken {

@@ -14,7 +14,10 @@ fn main() {
     let prog = b.program(Scale::test());
     let mut sim = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
     let s = sim.run(RunLimits::cycles(5_000_000)).clone();
-    println!("committed={} mem_ops={} full={} addr={}", s.committed, s.mem_ops, s.reused_full, s.reused_addr);
+    println!(
+        "committed={} mem_ops={} full={} addr={}",
+        s.committed, s.mem_ops, s.reused_full, s.reused_addr
+    );
     let profile = sim.reuse_profile();
     let mut prof: Vec<_> = profile.iter().collect();
     prof.sort_by_key(|(_, (f, a))| std::cmp::Reverse(f + a));

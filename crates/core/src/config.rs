@@ -13,8 +13,7 @@ use vpir_isa::FuClass;
 use vpir_mem::CacheConfig;
 
 pub use vpir_mechanism::{
-    BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig,
-    VpKind,
+    BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig, VpKind,
 };
 
 /// Which direction predictor drives the front end (Table 1 uses gshare;

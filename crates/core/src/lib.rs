@@ -51,8 +51,8 @@ mod stats;
 mod trace;
 
 pub use config::{
-    BranchResolution, CoreConfig, Enhancement, FaultInjection, FrontEnd, IrConfig,
-    Reexecution, RtbConfig, Validation, VpConfig, VpKind,
+    BranchResolution, CoreConfig, Enhancement, FaultInjection, FrontEnd, IrConfig, Reexecution,
+    RtbConfig, Validation, VpConfig, VpKind,
 };
 pub use error::{DiagSnapshot, RetiredInst, SimError, RETIRED_RING};
 pub use fu::FuPool;

@@ -18,8 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vpir_branch::{Bimodal, DirectionPredictor, Gshare, ReturnStack, StaticTaken, TargetTable};
 use vpir_isa::{
-    execute, Inst, IntMap, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES,
-    STACK_TOP,
+    execute, Inst, IntMap, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES, STACK_TOP,
 };
 use vpir_mechanism::{
     build_mechanisms, CommitEffects, CommitEvent, CommitMem, DispatchAction, DispatchQuery,
@@ -36,8 +35,8 @@ use crate::fu::FuPool;
 use crate::rob::{flag, CtrlState, MemState, Rob, NO_CYCLE};
 use crate::spec_state::SpecState;
 use crate::stats::SimStats;
-use vpir_stats::PcStats;
 use crate::trace::{TraceLog, TraceOutcome};
+use vpir_stats::PcStats;
 
 /// Run-length limits for [`Simulator::run`].
 #[derive(Debug, Clone, Copy)]
@@ -363,8 +362,7 @@ impl Simulator {
             replay_plans: Vec::new(),
             reuse_profile: IntMap::default(),
             pc_profile: BTreeMap::new(),
-            trace: (config.trace_capacity > 0)
-                .then(|| TraceLog::new(config.trace_capacity)),
+            trace: (config.trace_capacity > 0).then(|| TraceLog::new(config.trace_capacity)),
             last_commit_cycle: 0,
             retired_ring: Vec::with_capacity(RETIRED_RING),
             retired_next: 0,
@@ -550,7 +548,11 @@ impl Simulator {
     /// checkpoint stack, fetch state, and per-stage counters.
     pub fn diag_snapshot(&self) -> DiagSnapshot {
         let n = self.retired_ring.len();
-        let start = if n < RETIRED_RING { 0 } else { self.retired_next };
+        let start = if n < RETIRED_RING {
+            0
+        } else {
+            self.retired_next
+        };
         let mut last_retired = Vec::with_capacity(n);
         for i in 0..n {
             if let Some(r) = self.retired_ring.get((start + i) % n.max(1)) {
@@ -594,8 +596,7 @@ impl Simulator {
         // Work still in flight (or still arriving) means instructions
         // flow without retiring: a livelock. A fully idle machine — ROB
         // and fetch queue empty with fetch halted — is a deadlock.
-        let in_flight =
-            !self.rob.is_empty() || !self.fetch_queue.is_empty() || !self.fetch_halted;
+        let in_flight = !self.rob.is_empty() || !self.fetch_queue.is_empty() || !self.fetch_halted;
         Err(if in_flight {
             SimError::Livelock {
                 cycle: self.now,
@@ -638,9 +639,10 @@ impl Simulator {
             ));
         }
         for seq in self.checkpoints.seqs() {
-            let owned = self.rob.slots_in_order().any(|s| {
-                self.rob.seq[s] == seq && self.rob.has_flag(s, flag::HAS_CTRL)
-            });
+            let owned = self
+                .rob
+                .slots_in_order()
+                .any(|s| self.rob.seq[s] == seq && self.rob.has_flag(s, flag::HAS_CTRL));
             if !owned {
                 return Err(format!(
                     "checkpoint for seq {seq} has no live control instruction"
@@ -653,7 +655,9 @@ impl Simulator {
             }
             let seq = self.rob.seq[slot];
             if self.rob.reuse_source[slot].is_none() {
-                return Err(format!("seq {seq} marked reused without an RB source entry"));
+                return Err(format!(
+                    "seq {seq} marked reused without an RB source entry"
+                ));
             }
             if self.rob.has_flag(slot, flag::HAS_CTRL) && !self.rob.ctrl_out.test(slot) {
                 return Err(format!("reused control seq {seq} has no computed outcome"));
@@ -706,7 +710,9 @@ impl Simulator {
             }
         }
         for _ in 0..self.config.commit_width {
-            let Some(head) = self.rob.head_slot() else { break };
+            let Some(head) = self.rob.head_slot() else {
+                break;
+            };
             if !self.can_commit(head) {
                 break;
             }
@@ -718,9 +724,7 @@ impl Simulator {
                     break;
                 }
                 let Some(addr) = self.rob.out[head].addr else {
-                    return Err(self.internal_error(
-                        "store at commit has no architectural address",
-                    ));
+                    return Err(self.internal_error("store at commit has no architectural address"));
                 };
                 self.dcache.access(self.now, addr, true);
             }
@@ -744,14 +748,9 @@ impl Simulator {
         }
         if self.rob.has_flag(slot, flag::HAS_MEM) {
             let mem = &self.rob.mem[slot];
-            if mem.is_load
-                && !self.rob.reused.test(slot)
-                && !self.rob.trace_reused.test(slot)
-            {
+            if mem.is_load && !self.rob.reused.test(slot) && !self.rob.trace_reused.test(slot) {
                 // The load's access must have completed at the true address.
-                let done = mem
-                    .access_finish
-                    .is_some_and(|f| f <= self.now)
+                let done = mem.access_finish.is_some_and(|f| f <= self.now)
                     && mem.accessed_addr == self.rob.out[slot].addr;
                 if !done {
                     return false;
@@ -824,7 +823,11 @@ impl Simulator {
         // instruction. Only our own destination register can — map slots
         // are written solely at dispatch with that instruction's dst.
         if let Some(dst) = inst.dst {
-            if self.map.get(dst.index()).is_some_and(|(_, mseq)| mseq == seq) {
+            if self
+                .map
+                .get(dst.index())
+                .is_some_and(|(_, mseq)| mseq == seq)
+            {
                 self.map.clear(dst.index());
             }
         }
@@ -834,9 +837,7 @@ impl Simulator {
         if let Some(mem) = &mem {
             self.stats.mem_ops += 1;
             if !mem.is_load && out.addr.is_none() {
-                return Err(
-                    self.internal_error("committed store has no architectural address")
-                );
+                return Err(self.internal_error("committed store has no architectural address"));
             }
         }
 
@@ -847,9 +848,7 @@ impl Simulator {
                 OpClass::Branch => {
                     self.stats.branches += 1;
                     let Some(c) = out.control else {
-                        return Err(
-                            self.internal_error("committed branch has no computed outcome")
-                        );
+                        return Err(self.internal_error("committed branch has no computed outcome"));
                     };
                     let actual = c.taken;
                     self.bp.update(pc, actual, ctrl.bp_token);
@@ -861,9 +860,9 @@ impl Simulator {
                 }
                 OpClass::JumpReg => {
                     let Some(c) = out.control else {
-                        return Err(self.internal_error(
-                            "committed indirect jump has no computed target",
-                        ));
+                        return Err(
+                            self.internal_error("committed indirect jump has no computed target")
+                        );
                     };
                     let target = c.target;
                     if inst.is_return() {
@@ -900,9 +899,7 @@ impl Simulator {
         if let Some(mem) = &mem {
             if mem.is_load {
                 let Some(actual) = out.addr else {
-                    return Err(
-                        self.internal_error("committed load has no architectural address")
-                    );
+                    return Err(self.internal_error("committed load has no architectural address"));
                 };
                 if let Some(p) = addr_predicted {
                     self.stats.addr_predicted += 1;
@@ -1034,7 +1031,8 @@ impl Simulator {
             t.on_complete(seq, finish);
         }
         self.rob.last_inputs[slot] = inputs;
-        self.rob.assign_flag(slot, flag::LAST_CORRECT, inputs_correct);
+        self.rob
+            .assign_flag(slot, flag::LAST_CORRECT, inputs_correct);
         self.rob.assign_flag(slot, flag::LAST_FINAL, inputs_final);
         // settled ≡ exec_count > 0 (true now) && last inputs correct.
         self.rob.settled.assign(slot, inputs_correct);
@@ -1054,9 +1052,8 @@ impl Simulator {
                 mem.addr_known = Some(finish);
             }
             // A completed access at a stale address must be redone.
-            let stale = mem.is_load
-                && mem.access_finish.is_some()
-                && mem.accessed_addr != computed_addr;
+            let stale =
+                mem.is_load && mem.access_finish.is_some() && mem.accessed_addr != computed_addr;
             if stale {
                 mem.access_finish = None;
                 mem.accessed_addr = None;
@@ -1098,8 +1095,7 @@ impl Simulator {
             // Executed with value-speculative inputs: result is visible
             // but remains speculative until promotion.
             if let Some(nv) = rv {
-                let same = self.rob.vis_since[slot] != NO_CYCLE
-                    && self.rob.vis_value[slot] == nv;
+                let same = self.rob.vis_since[slot] != NO_CYCLE && self.rob.vis_value[slot] == nv;
                 if !same {
                     self.rob.set_visible(slot, nv, finish);
                 }
@@ -1253,8 +1249,7 @@ impl Simulator {
         for &slot in &slots {
             let (taken, target) = self.rob.computed_ctrl[slot];
             let inputs_final = self.rob.has_flag(slot, flag::LAST_FINAL)
-                || (self.rob.has_flag(slot, flag::LAST_CORRECT)
-                    && self.inputs_final_now(slot));
+                || (self.rob.has_flag(slot, flag::LAST_CORRECT) && self.inputs_final_now(slot));
             let new_outcome = self.rob.exec_count[slot] > self.rob.ctrl[slot].acted_count;
             let act_now = match resolution {
                 BranchResolution::Sb => new_outcome || inputs_final,
@@ -1343,13 +1338,7 @@ impl Simulator {
     }
 
     /// Squashes everything younger than `seq` and redirects fetch.
-    fn squash_to(
-        &mut self,
-        seq: u64,
-        next_pc: u64,
-        spurious: bool,
-        bp_fix: Option<(u64, bool)>,
-    ) {
+    fn squash_to(&mut self, seq: u64, next_pc: u64, spurious: bool, bp_fix: Option<(u64, bool)>) {
         self.stats.squashes += 1;
         if spurious {
             self.stats.spurious_squashes += 1;
@@ -1534,8 +1523,7 @@ impl Simulator {
                 m.accessed_addr = Some(addr);
             }
             self.rob.accessed.set(slot);
-            let same =
-                self.rob.vis_since[slot] != NO_CYCLE && self.rob.vis_value[slot] == value;
+            let same = self.rob.vis_since[slot] != NO_CYCLE && self.rob.vis_value[slot] == value;
             if !same {
                 self.rob.set_visible(slot, value, finish);
             }
@@ -1764,7 +1752,8 @@ impl Simulator {
             self.rob.exec_inputs[slot] = inputs;
             self.rob
                 .assign_flag(slot, flag::EXEC_IN_CORRECT, inputs_correct);
-            self.rob.assign_flag(slot, flag::EXEC_IN_FINAL, inputs_final);
+            self.rob
+                .assign_flag(slot, flag::EXEC_IN_FINAL, inputs_final);
             self.rob.exec.set(slot);
             if let Some(t) = self.trace.as_mut() {
                 t.on_issue(self.rob.seq[slot], self.now);
@@ -1790,11 +1779,10 @@ impl Simulator {
             if self.rob.is_full() {
                 break;
             }
-            let Some(f) = self.fetch_queue.front() else { break };
-            let needs_checkpoint = matches!(
-                f.inst.op.class(),
-                OpClass::Branch | OpClass::JumpReg
-            );
+            let Some(f) = self.fetch_queue.front() else {
+                break;
+            };
+            let needs_checkpoint = matches!(f.inst.op.class(), OpClass::Branch | OpClass::JumpReg);
             if needs_checkpoint && self.checkpoints.len() >= self.config.max_branches {
                 break;
             }
@@ -1805,7 +1793,9 @@ impl Simulator {
             if is_mem {
                 lsq_used += 1;
             }
-            let Some(f) = self.fetch_queue.pop_front() else { break };
+            let Some(f) = self.fetch_queue.pop_front() else {
+                break;
+            };
             let redirected = self.dispatch_one(f)?;
             if self.halted || redirected {
                 break;
@@ -1869,8 +1859,8 @@ impl Simulator {
         // PC must decode to a real instruction. (Traces are captured
         // from dispatched instructions, so this only fails if the table
         // is corrupt — abort the replay rather than wedge dispatch.)
-        let plan_ok = !plans.is_empty()
-            && plans.iter().all(|p| self.program.inst_at(p.pc).is_some());
+        let plan_ok =
+            !plans.is_empty() && plans.iter().all(|p| self.program.inst_at(p.pc).is_some());
         if !plan_ok {
             self.mechs[mi].replay_abort();
             self.replay_plans = plans;
@@ -2009,10 +1999,9 @@ impl Simulator {
         // snapshot is *moved* in rather than cloned; the checkpoint's old
         // snapshot Vec returns to the pool for the next fetch.
         if matches!(inst.op.class(), OpClass::Branch | OpClass::JumpReg) {
-            let pred = f
-                .pred
-                .take()
-                .ok_or_else(|| self.internal_error("control instruction fetched without a prediction"))?;
+            let pred = f.pred.take().ok_or_else(|| {
+                self.internal_error("control instruction fetched without a prediction")
+            })?;
             let mut cp = self.cp_pool.pop().unwrap_or_default();
             cp.map.copy_from(&self.map);
             let old_ras = std::mem::replace(&mut cp.ras, pred.ras_snapshot);
@@ -2064,16 +2053,14 @@ impl Simulator {
             t.on_dispatch(seq, pc, inst, self.now);
             if reused || trace_reused {
                 t.on_outcome(seq, TraceOutcome::Reused);
-            } else if self.rob.predicted[slot].is_some()
-                || self.rob.addr_predicted[slot].is_some()
+            } else if self.rob.predicted[slot].is_some() || self.rob.addr_predicted[slot].is_some()
             {
                 t.on_outcome(seq, TraceOutcome::Predicted);
             } else if self.rob.addr_reused.test(slot) {
                 t.on_outcome(seq, TraceOutcome::AddrReused);
             }
         }
-        let reused_branch =
-            (reused || trace_reused) && self.rob.has_flag(slot, flag::HAS_CTRL);
+        let reused_branch = (reused || trace_reused) && self.rob.has_flag(slot, flag::HAS_CTRL);
         self.rob.commit_push(slot);
         if let Some(dst) = inst.dst {
             if !dst.is_zero() {
@@ -2154,8 +2141,8 @@ impl Simulator {
                 ),
                 Some((pslot, pseq)) => {
                     if self.rob.is_live(pslot) && self.rob.seq[pslot] == pseq {
-                        let known = self.rob.reused.test(pslot)
-                            || self.rob.nonspec_at(pslot, self.now);
+                        let known =
+                            self.rob.reused.test(pslot) || self.rob.nonspec_at(pslot, self.now);
                         if known {
                             OperandView::in_flight_known(
                                 self.rob.pc[pslot],
@@ -2165,11 +2152,9 @@ impl Simulator {
                             OperandView::in_flight(self.rob.pc[pslot])
                         }
                     } else {
-                        OperandView::settled(
-                            src_values[i].ok_or_else(|| {
-                                self.internal_error("operand was not read at dispatch")
-                            })?,
-                        )
+                        OperandView::settled(src_values[i].ok_or_else(|| {
+                            self.internal_error("operand was not read at dispatch")
+                        })?)
                     }
                 }
             };

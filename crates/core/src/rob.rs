@@ -565,11 +565,7 @@ impl Rob {
     /// Collects the masked slots in age order into `out` (cleared
     /// first), reusing its capacity.
     #[inline]
-    pub(crate) fn collect_masked(
-        &self,
-        word: impl Fn(&Rob, usize) -> u64,
-        out: &mut Vec<usize>,
-    ) {
+    pub(crate) fn collect_masked(&self, word: impl Fn(&Rob, usize) -> u64, out: &mut Vec<usize>) {
         out.clear();
         self.for_each_masked(word, |slot| {
             out.push(slot);
@@ -718,7 +714,10 @@ impl Rob {
     /// Used by the simulator's opt-in paranoia mode and by tests.
     pub fn check_consistency(&self) -> Result<(), String> {
         if self.len > self.cap {
-            return Err(format!("ROB len {} exceeds capacity {}", self.len, self.cap));
+            return Err(format!(
+                "ROB len {} exceeds capacity {}",
+                self.len, self.cap
+            ));
         }
         let mut prev: Option<u64> = None;
         for slot in self.slots_in_order() {
@@ -736,7 +735,9 @@ impl Rob {
         for slot in 0..self.cap {
             let offset = (slot + self.cap - self.head) % self.cap;
             if offset >= self.len && self.valid.test(slot) {
-                return Err(format!("ROB slot {slot} outside the live window is occupied"));
+                return Err(format!(
+                    "ROB slot {slot} outside the live window is occupied"
+                ));
             }
         }
         // Mask/column cross-validation: each incrementally-maintained
@@ -744,8 +745,16 @@ impl Rob {
         for slot in self.slots_in_order() {
             let class = self.inst[slot].op.class();
             let checks: [(&str, bool, bool); 7] = [
-                ("exec", self.exec.test(slot), self.exec_finish[slot] != NO_CYCLE),
-                ("nonspec", self.nonspec.test(slot), self.nonspec_cycle[slot] != NO_CYCLE),
+                (
+                    "exec",
+                    self.exec.test(slot),
+                    self.exec_finish[slot] != NO_CYCLE,
+                ),
+                (
+                    "nonspec",
+                    self.nonspec.test(slot),
+                    self.nonspec_cycle[slot] != NO_CYCLE,
+                ),
                 (
                     "settled",
                     self.settled.test(slot),

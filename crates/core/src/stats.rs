@@ -145,7 +145,10 @@ impl SimStats {
 
     /// Percent of committed instructions value predicted *incorrectly*.
     pub fn vp_result_mispred_rate(&self) -> f64 {
-        pct(self.result_predicted - self.result_pred_correct, self.committed)
+        pct(
+            self.result_predicted - self.result_pred_correct,
+            self.committed,
+        )
     }
 
     /// Percent of committed memory ops with correctly predicted address.
@@ -299,7 +302,11 @@ impl SimStats {
                     if !by_depth.is_empty() {
                         by_depth.push_str("  ");
                     }
-                    let tag = if depth == 4 { "4+".to_string() } else { depth.to_string() };
+                    let tag = if depth == 4 {
+                        "4+".to_string()
+                    } else {
+                        depth.to_string()
+                    };
                     let _ = write!(by_depth, "depth{tag} {count}");
                 }
             }

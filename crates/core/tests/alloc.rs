@@ -74,6 +74,9 @@ fn the_counting_allocator_itself_observes_heap_traffic() {
     let before = ALLOC.allocations();
     let v: Vec<u64> = Vec::with_capacity(32);
     assert!(v.capacity() >= 32);
-    assert!(ALLOC.allocations() > before, "Vec::with_capacity must count");
+    assert!(
+        ALLOC.allocations() > before,
+        "Vec::with_capacity must count"
+    );
     drop(v);
 }

@@ -50,7 +50,11 @@ fn ir_speeds_up_redundant_loop() {
 fn vp_speeds_up_redundant_loop() {
     let (_, base) = run(REDUNDANT_LOOP, CoreConfig::table1());
     let (_, vp) = run(REDUNDANT_LOOP, CoreConfig::with_vp(VpConfig::magic()));
-    assert!(vp.result_pred_correct > 500, "preds: {}", vp.result_pred_correct);
+    assert!(
+        vp.result_pred_correct > 500,
+        "preds: {}",
+        vp.result_pred_correct
+    );
     assert!(
         vp.cycles < base.cycles,
         "VP {} cycles vs base {}",
@@ -70,7 +74,12 @@ fn early_validation_beats_late_validation() {
     };
     let (_, late) = run(REDUNDANT_LOOP, CoreConfig::with_ir(late_cfg));
     let (_, base) = run(REDUNDANT_LOOP, CoreConfig::table1());
-    assert!(early.cycles <= late.cycles, "early {} late {}", early.cycles, late.cycles);
+    assert!(
+        early.cycles <= late.cycles,
+        "early {} late {}",
+        early.cycles,
+        late.cycles
+    );
     // Late validation behaves like always-correct prediction: roughly
     // base-or-better, allowing a whisker of scheduling noise.
     assert!(
@@ -107,7 +116,11 @@ fn dependent_chain_is_serialised_in_base() {
     }
     src.push_str("        halt\n");
     let (_, s) = run(&src, CoreConfig::table1());
-    assert!(s.cycles >= 24, "chain must serialise, got {} cycles", s.cycles);
+    assert!(
+        s.cycles >= 24,
+        "chain must serialise, got {} cycles",
+        s.cycles
+    );
 }
 
 #[test]
@@ -147,8 +160,16 @@ fn icache_miss_stalls_fetch() {
     src.push_str("        halt\n");
     let (_, s) = run(&src, CoreConfig::table1());
     // 65 instructions over ~9 lines, each cold line costs 6 extra cycles.
-    assert!(s.cycles >= 50, "icache misses must slow fetch: {}", s.cycles);
-    assert!(s.icache.misses >= 8, "expected cold line misses: {:?}", s.icache);
+    assert!(
+        s.cycles >= 50,
+        "icache misses must slow fetch: {}",
+        s.cycles
+    );
+    assert!(
+        s.icache.misses >= 8,
+        "expected cold line misses: {:?}",
+        s.icache
+    );
 }
 
 #[test]
@@ -170,8 +191,16 @@ fn branch_mispredictions_squash() {
         bne  r6, r0, loop
         halt";
     let (_, s) = run(src, CoreConfig::table1());
-    assert!(s.branch_mispredicts > 10, "mispredicts: {}", s.branch_mispredicts);
-    assert!(s.squashes >= s.branch_mispredicts / 2, "squashes: {}", s.squashes);
+    assert!(
+        s.branch_mispredicts > 10,
+        "mispredicts: {}",
+        s.branch_mispredicts
+    );
+    assert!(
+        s.squashes >= s.branch_mispredicts / 2,
+        "squashes: {}",
+        s.squashes
+    );
     assert!(s.squashed_executed > 0, "wrong-path work must execute");
 }
 
@@ -262,7 +291,11 @@ fn exec_histogram_counts_reexecutions_under_vp() {
     let multi = s.exec_histogram[2] + s.exec_histogram[3];
     // The load's value changes every iteration; LVP will mispredict and
     // dependents re-execute.
-    assert!(multi > 0, "expected re-executions, histogram {:?}", s.exec_histogram);
+    assert!(
+        multi > 0,
+        "expected re-executions, histogram {:?}",
+        s.exec_histogram
+    );
 }
 
 #[test]
@@ -300,8 +333,14 @@ fn pc_profile_tracks_commits_and_mechanism_hits() {
     let (sim, s) = run(REDUNDANT_LOOP, ir_cfg);
     let profile = sim.pc_profile();
     assert!(!profile.is_empty());
-    assert_eq!(profile.values().map(|p| p.executions).sum::<u64>(), s.committed);
-    assert_eq!(profile.values().map(|p| p.rb_hits).sum::<u64>(), s.reused_full);
+    assert_eq!(
+        profile.values().map(|p| p.executions).sum::<u64>(),
+        s.committed
+    );
+    assert_eq!(
+        profile.values().map(|p| p.rb_hits).sum::<u64>(),
+        s.reused_full
+    );
     assert!(profile.values().all(|p| p.rb_hits <= p.executions));
 
     let mut vp_cfg = CoreConfig::with_vp(VpConfig::magic());

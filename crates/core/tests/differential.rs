@@ -53,7 +53,10 @@ fn all_configs() -> Vec<(String, CoreConfig)> {
     }
     // Weaker front ends (branch-quality sensitivity must not affect
     // architectural correctness).
-    for fe in [vpir_core::FrontEnd::Bimodal, vpir_core::FrontEnd::StaticTaken] {
+    for fe in [
+        vpir_core::FrontEnd::Bimodal,
+        vpir_core::FrontEnd::StaticTaken,
+    ] {
         let mut cfg = CoreConfig::table1();
         cfg.front_end = fe;
         configs.push((format!("base-{fe:?}"), cfg));
@@ -175,7 +178,10 @@ fn benchmarks_match_golden_model_under_key_configs() {
             ),
         ),
         ("ir".into(), CoreConfig::with_ir(IrConfig::table1())),
-        ("rtb-t8".into(), CoreConfig::with_rtb(vpir_core::RtbConfig::t8())),
+        (
+            "rtb-t8".into(),
+            CoreConfig::with_rtb(vpir_core::RtbConfig::t8()),
+        ),
     ];
     for bench in Bench::ALL {
         let prog = bench.program(Scale::test());

@@ -64,7 +64,11 @@ fn rob_full_backpressure() {
         halt";
     let (_, s) = run(src);
     // 16 sqrts on a single unit with a 24-cycle issue interval.
-    assert!(s.cycles >= 16 * 24, "sqrt serialisation: {} cycles", s.cycles);
+    assert!(
+        s.cycles >= 16 * 24,
+        "sqrt serialisation: {} cycles",
+        s.cycles
+    );
     assert_eq!(s.committed, 2 + 16 * 7 + 1);
 }
 
@@ -112,7 +116,12 @@ fn load_waits_for_unknown_store_address() {
     // In `free` the load overlaps the divide; in `blocked` it cannot.
     // (Commit is in-order so total cycles are similar, but the load's
     // data must arrive later — observable through the d-cache timing.)
-    assert!(b.cycles >= f.cycles, "blocked {} vs free {}", b.cycles, f.cycles);
+    assert!(
+        b.cycles >= f.cycles,
+        "blocked {} vs free {}",
+        b.cycles,
+        f.cycles
+    );
     check_against_golden(blocked, CoreConfig::table1());
 }
 

@@ -39,8 +39,8 @@ fn arb_config(rng: &mut Rng) -> CoreConfig {
             })
         }
         2 => {
-            let scheme =
-                [ReuseScheme::Sn, ReuseScheme::SnD, ReuseScheme::SnDValues][rng.gen_range(0..3usize)];
+            let scheme = [ReuseScheme::Sn, ReuseScheme::SnD, ReuseScheme::SnDValues]
+                [rng.gen_range(0..3usize)];
             let validation = if rng.gen_bool(0.5) {
                 Validation::Early
             } else {
@@ -84,7 +84,11 @@ fn pipeline_matches_functional_machine() {
         let mut sim = Simulator::new(&prog, config);
         sim.run(RunLimits::cycles(100_000_000));
         assert!(sim.halted(), "pipeline did not halt (seed {seed})");
-        assert_eq!(sim.stats().committed, gold.icount, "commit count (seed {seed})");
+        assert_eq!(
+            sim.stats().committed,
+            gold.icount,
+            "commit count (seed {seed})"
+        );
         for i in 0..vpir_isa::NUM_REGS {
             let r = Reg::from_index(i);
             assert_eq!(

@@ -149,10 +149,6 @@ fn repeated_runs_are_deterministic() {
         a.run(RunLimits::unbounded());
         let mut b = Simulator::new(&prog, config);
         b.run(RunLimits::unbounded());
-        assert_eq!(
-            a.stats(),
-            b.stats(),
-            "[{label}] repeated runs diverged"
-        );
+        assert_eq!(a.stats(), b.stats(), "[{label}] repeated runs diverged");
     }
 }

@@ -23,10 +23,18 @@ fn run_checked(prog: &Program, config: CoreConfig, ctx: &str) -> SimStats {
     let mut sim = Simulator::new(prog, config);
     sim.run(RunLimits::cycles(400_000_000));
     assert!(sim.halted(), "pipeline did not halt ({ctx})");
-    assert_eq!(sim.stats().committed, gold.icount, "committed count diverged ({ctx})");
+    assert_eq!(
+        sim.stats().committed,
+        gold.icount,
+        "committed count diverged ({ctx})"
+    );
     for i in 0..vpir_isa::NUM_REGS {
         let r = Reg::from_index(i);
-        assert_eq!(sim.arch_regs().read(r), gold.regs.read(r), "register {r} diverged ({ctx})");
+        assert_eq!(
+            sim.arch_regs().read(r),
+            gold.regs.read(r),
+            "register {r} diverged ({ctx})"
+        );
     }
     sim.stats().clone()
 }
@@ -47,10 +55,19 @@ fn check_rtb_invariants(s: &SimStats, ctx: &str) {
     );
     let by_class: u64 = r.per_class.iter().sum();
     let by_depth: u64 = r.per_depth.iter().sum();
-    assert_eq!(by_class, r.committed_reused, "class attribution not total ({ctx})");
-    assert_eq!(by_depth, r.committed_reused, "depth attribution not total ({ctx})");
+    assert_eq!(
+        by_class, r.committed_reused,
+        "class attribution not total ({ctx})"
+    );
+    assert_eq!(
+        by_depth, r.committed_reused,
+        "depth attribution not total ({ctx})"
+    );
     let pct = r.committed_reuse_pct(s.committed);
-    assert!((0.0..=100.0).contains(&pct), "reuse rate out of range ({ctx}): {pct}");
+    assert!(
+        (0.0..=100.0).contains(&pct),
+        "reuse rate out of range ({ctx}): {pct}"
+    );
 }
 
 #[test]
@@ -75,14 +92,23 @@ fn rtb_characterization_across_all_workloads() {
         }
     }
     assert!(total_replays > 0, "no workload granted a single replay");
-    assert!(total_reused > 0, "no committed instruction arrived via trace replay");
+    assert!(
+        total_reused > 0,
+        "no committed instruction arrived via trace replay"
+    );
     // The attribution must be informative, not a single catch-all
     // bucket: across seven workloads, reuse spans several instruction
     // classes and reaches inside loops.
     let classes_hit = class_union.iter().filter(|&&c| c > 0).count();
-    assert!(classes_hit >= 2, "per-class attribution degenerate: {class_union:?}");
+    assert!(
+        classes_hit >= 2,
+        "per-class attribution degenerate: {class_union:?}"
+    );
     let in_loops: u64 = depth_union.iter().skip(1).sum();
-    assert!(in_loops > 0, "no trace reuse attributed inside a loop: {depth_union:?}");
+    assert!(
+        in_loops > 0,
+        "no trace reuse attributed inside a loop: {depth_union:?}"
+    );
 }
 
 #[test]
@@ -135,9 +161,17 @@ fn wrong_path_trace_captures_are_invalidated_by_squashes() {
         bne  r1, r0, loop
         halt";
     let prog = asm::assemble(src).expect("assembles");
-    let s = run_checked(&prog, CoreConfig::with_rtb(RtbConfig::t8()), "squash program");
+    let s = run_checked(
+        &prog,
+        CoreConfig::with_rtb(RtbConfig::t8()),
+        "squash program",
+    );
     check_rtb_invariants(&s, "squash program");
-    assert!(s.squashes > 50, "program must squash heavily: {}", s.squashes);
+    assert!(
+        s.squashes > 50,
+        "program must squash heavily: {}",
+        s.squashes
+    );
     assert!(s.rtb.captured > 0, "captures still happen between squashes");
     assert!(
         s.rtb.pending_squashed > 0,

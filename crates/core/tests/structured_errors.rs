@@ -4,9 +4,7 @@
 //! healthy machines, and randomized differential runs either agree on
 //! architectural state or fail with a `SimError` — never a panic.
 
-use vpir_core::{
-    CoreConfig, FaultInjection, IrConfig, RunLimits, Simulator, SimError, VpConfig,
-};
+use vpir_core::{CoreConfig, FaultInjection, IrConfig, RunLimits, SimError, Simulator, VpConfig};
 use vpir_isa::{asm, Reg};
 use vpir_workloads::synth::{random_program, SynthConfig};
 use vpir_workloads::{Bench, Scale};
@@ -48,7 +46,10 @@ fn injected_commit_stall_trips_livelock_at_exactly_watchdog_cycles() {
         400,
         "watchdog must fire exactly watchdog_cycles after the last commit"
     );
-    assert_eq!(snapshot.committed, 5, "the stall was injected after 5 commits");
+    assert_eq!(
+        snapshot.committed, 5,
+        "the stall was injected after 5 commits"
+    );
     assert!(
         snapshot.rob_len > 0,
         "a livelocked machine still holds in-flight work"
@@ -87,7 +88,10 @@ fn diagnostic_ring_keeps_only_the_most_recent_retirements() {
     assert_eq!(snapshot.last_retired.len(), vpir_core::RETIRED_RING);
     // Oldest-first ordering holds across the ring wrap.
     let seqs: Vec<u64> = snapshot.last_retired.iter().map(|r| r.seq).collect();
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "unordered ring: {seqs:?}");
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "unordered ring: {seqs:?}"
+    );
     // Seq numbers count dispatches (wrong-path work included), so the
     // newest entry's seq is at least the commit count.
     let last = snapshot.last_retired.last().expect("non-empty ring");

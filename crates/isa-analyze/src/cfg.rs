@@ -139,8 +139,8 @@ fn address_taken(prog: &Program) -> BTreeSet<usize> {
 /// Whether execution can continue at the next instruction after `i`.
 fn falls_through(op: Op) -> bool {
     match op.class() {
-        OpClass::Branch => true,      // not-taken path
-        OpClass::Jump => op == Op::Jal, // call returns to the next inst
+        OpClass::Branch => true,            // not-taken path
+        OpClass::Jump => op == Op::Jal,     // call returns to the next inst
         OpClass::JumpReg => op == Op::Jalr, // ditto
         _ => op != Op::Halt,
     }

@@ -10,8 +10,8 @@
 //!   *derivable*);
 //! * **input-dependent** — everything else.
 
-use vpir_isa::{OpClass, Program};
 use vpir_analyze::{Finding, Rule};
+use vpir_isa::{OpClass, Program};
 
 use crate::cfg::Cfg;
 use crate::dataflow::{self, ReachingDefs};
@@ -220,7 +220,8 @@ pub fn lints(prog: &Program, cfg: &Cfg, sccp: &Sccp, file: &str) -> Vec<Finding>
         }
     }
     if all_const {
-        let overlaps = |a: u64, wa: u64, b: u64, wb: u64| a < b.wrapping_add(wb) && b < a.wrapping_add(wa);
+        let overlaps =
+            |a: u64, wa: u64, b: u64, wb: u64| a < b.wrapping_add(wb) && b < a.wrapping_add(wa);
         for (i, a, w) in stores {
             if !loaded.iter().any(|&(la, lw)| overlaps(a, w, la, lw)) {
                 out.push(finding(

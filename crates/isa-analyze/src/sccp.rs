@@ -165,11 +165,17 @@ fn transfer(
     policy: &LoadPolicy<'_>,
     mem: &MemImage,
 ) -> (Value, AddrFact) {
-    let all_const = inst.sources().all(|r| matches!(state.get(r), Value::Const(_)));
+    let all_const = inst
+        .sources()
+        .all(|r| matches!(state.get(r), Value::Const(_)));
     let class = inst.op.class();
     let is_mem = matches!(class, OpClass::Load | OpClass::Store);
     let mut result = Value::Bottom;
-    let mut addr = if is_mem { AddrFact::Unknown } else { AddrFact::NotMem };
+    let mut addr = if is_mem {
+        AddrFact::Unknown
+    } else {
+        AddrFact::NotMem
+    };
 
     if all_const {
         let read = |r: Reg| match state.get(r) {
@@ -206,16 +212,13 @@ fn transfer(
 /// Feasible out edges of block `b` given its end-of-block state: the
 /// CFG's role-tagged edges, pruned where the terminator's operands are
 /// constant enough to decide the transfer.
-fn feasible_edges(
-    prog: &Program,
-    cfg: &Cfg,
-    b: usize,
-    state: &RegState,
-) -> Vec<(usize, EdgeRole)> {
+fn feasible_edges(prog: &Program, cfg: &Cfg, b: usize, state: &RegState) -> Vec<(usize, EdgeRole)> {
     let blk = &cfg.blocks[b];
     let inst = &prog.insts[blk.end - 1];
     let class = inst.op.class();
-    let all_const = inst.sources().all(|r| matches!(state.get(r), Value::Const(_)));
+    let all_const = inst
+        .sources()
+        .all(|r| matches!(state.get(r), Value::Const(_)));
 
     if class == OpClass::Branch && all_const {
         let read = |r: Reg| match state.get(r) {
@@ -248,9 +251,7 @@ fn feasible_edges(
             .iter()
             .copied()
             .filter(|&(s, role)| match role {
-                EdgeRole::Computed => {
-                    Some(prog.addr_of(cfg.blocks[s].start)) == target
-                }
+                EdgeRole::Computed => Some(prog.addr_of(cfg.blocks[s].start)) == target,
                 EdgeRole::CallReturn => true,
                 _ => false,
             })

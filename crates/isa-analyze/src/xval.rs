@@ -79,7 +79,10 @@ impl Xval {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"static\":\"{s}\",\"dynamic\":\"{d}\",\"count\":{n}}}");
+            let _ = write!(
+                out,
+                "{{\"static\":\"{s}\",\"dynamic\":\"{d}\",\"count\":{n}}}"
+            );
         }
         out.push_str("]}");
         out

@@ -135,8 +135,14 @@ fn constant_chain_is_invariant_and_loop_counter_is_stride() {
     assert_eq!(li9.const_value, Some(1234));
     assert_eq!(li9.loop_depth, 1);
     // Self-incremented counters advance on a stride.
-    assert_eq!(by_text("addi r2, r2, 4").class, Some(StaticClass::StrideDerivable));
-    assert_eq!(by_text("addi r7, r7, 1").class, Some(StaticClass::StrideDerivable));
+    assert_eq!(
+        by_text("addi r2, r2, 4").class,
+        Some(StaticClass::StrideDerivable)
+    );
+    assert_eq!(
+        by_text("addi r7, r7, 1").class,
+        Some(StaticClass::StrideDerivable)
+    );
     // Sum of two varying values: no claim.
     assert_eq!(by_text("add r3").class, Some(StaticClass::InputDependent));
 }
@@ -277,7 +283,11 @@ loop:   li   r9, 77
     let xv = cross_validate(&analysis.insts, &per_pc);
     assert!(xv.universe > 0);
     assert!(xv.static_invariant > 0);
-    assert!(xv.false_positive_pcs.is_empty(), "{:?}", xv.false_positive_pcs);
+    assert!(
+        xv.false_positive_pcs.is_empty(),
+        "{:?}",
+        xv.false_positive_pcs
+    );
     assert!((xv.precision() - 1.0).abs() < 1e-12);
     assert!(xv.recall() > 0.0);
 }

@@ -175,13 +175,11 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                     seg = Some((data_cursor, Vec::new()));
                 }
                 ".entry" => {
-                    let target = args
-                        .first()
-                        .ok_or_else(|| AsmError {
-                            line: line.no,
-                            col: *dcol,
-                            msg: ".entry needs a label".into(),
-                        })?;
+                    let target = args.first().ok_or_else(|| AsmError {
+                        line: line.no,
+                        col: *dcol,
+                        msg: ".entry needs a label".into(),
+                    })?;
                     entry = Some(*labels.get(target.as_str()).ok_or_else(|| AsmError {
                         line: line.no,
                         col: target.col,
@@ -353,13 +351,11 @@ fn split_args(s: &str, base: usize) -> Vec<Arg> {
 }
 
 fn parse_u64(s: &str, line: usize, col: usize) -> Result<u64, AsmError> {
-    parse_i64_raw(s)
-        .map(|v| v as u64)
-        .ok_or_else(|| AsmError {
-            line,
-            col,
-            msg: format!("bad number `{s}`"),
-        })
+    parse_i64_raw(s).map(|v| v as u64).ok_or_else(|| AsmError {
+        line,
+        col,
+        msg: format!("bad number `{s}`"),
+    })
 }
 
 fn parse_i64_raw(s: &str) -> Option<i64> {
@@ -699,7 +695,12 @@ fn encode(
         }
         "b" => {
             need(1)?;
-            return Ok(vec![Inst::branch2(Op::Beq, Reg::ZERO, Reg::ZERO, imm(0)? as u64)]);
+            return Ok(vec![Inst::branch2(
+                Op::Beq,
+                Reg::ZERO,
+                Reg::ZERO,
+                imm(0)? as u64,
+            )]);
         }
         "neg" => {
             need(2)?;
@@ -712,12 +713,11 @@ fn encode(
         _ => {}
     }
 
-    let op = Op::parse(mnemonic)
-        .ok_or_else(|| AsmError {
-            line,
-            col: mcol,
-            msg: format!("unknown mnemonic `{mnemonic}`"),
-        })?;
+    let op = Op::parse(mnemonic).ok_or_else(|| AsmError {
+        line,
+        col: mcol,
+        msg: format!("unknown mnemonic `{mnemonic}`"),
+    })?;
     let _ = pc;
 
     Ok(vec![match op {
@@ -803,7 +803,11 @@ fn encode(
             1 => Inst::jump_reg(op, Some(Reg::RA), reg(0)?),
             2 => Inst::jump_reg(op, Some(reg(0)?), reg(1)?),
             n => {
-                return err(line, mcol, format!("`jalr` expects 1 or 2 operands, got {n}"))
+                return err(
+                    line,
+                    mcol,
+                    format!("`jalr` expects 1 or 2 operands, got {n}"),
+                )
             }
         },
         Op::Nop => {
@@ -883,10 +887,8 @@ mod tests {
 
     #[test]
     fn mem_operand_forms() {
-        let prog = assemble(
-            ".data 0x300000\nv: .word 42\n.text\nlw r1, v(r0)\nlw r2, v\nhalt\n",
-        )
-        .unwrap();
+        let prog =
+            assemble(".data 0x300000\nv: .word 42\n.text\nlw r1, v(r0)\nlw r2, v\nhalt\n").unwrap();
         let mut m = Machine::new(&prog);
         m.run(10).unwrap();
         assert_eq!(m.regs.read(Reg::int(1)), 42);
@@ -951,10 +953,7 @@ mod tests {
         let e = assemble("lab:   lw r1, 8(zz)\n").unwrap_err();
         assert_eq!((e.line, e.col), (1, 17));
 
-        assert_eq!(
-            e.at_file("prog.s"),
-            format!("prog.s:1:17: {}", e.msg)
-        );
+        assert_eq!(e.at_file("prog.s"), format!("prog.s:1:17: {}", e.msg));
     }
 
     #[test]
@@ -971,10 +970,9 @@ mod tests {
 
     #[test]
     fn pseudo_instructions() {
-        let prog = assemble(
-            "li r1, -7\nmove r2, r1\nneg r3, r1\nnot r4, r0\nb end\nnop\nend: halt\n",
-        )
-        .unwrap();
+        let prog =
+            assemble("li r1, -7\nmove r2, r1\nneg r3, r1\nnot r4, r0\nb end\nnop\nend: halt\n")
+                .unwrap();
         let mut m = Machine::new(&prog);
         m.run(20).unwrap();
         assert_eq!(m.regs.read(Reg::int(2)) as i64, -7);
@@ -1014,10 +1012,7 @@ mod tests {
 
     #[test]
     fn jalr_forms() {
-        let prog = assemble(
-            "la r1, fun\njalr r1\nhalt\nfun: li r5, 3\njr ra\n",
-        )
-        .unwrap();
+        let prog = assemble("la r1, fun\njalr r1\nhalt\nfun: li r5, 3\njr ra\n").unwrap();
         let mut m = Machine::new(&prog);
         m.run(20).unwrap();
         assert_eq!(m.regs.read(Reg::int(5)), 3);

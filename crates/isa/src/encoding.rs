@@ -162,9 +162,7 @@ pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
         OpClass::Load => op | rd(inst.dst) | rs(inst.src1) | imm16(inst.op, inst.imm)?,
         OpClass::Store => op | rd(inst.src2) | rs(inst.src1) | imm16(inst.op, inst.imm)?,
         OpClass::Branch => {
-            let delta = inst.imm
-                .wrapping_sub(pc as i64 + INST_BYTES as i64)
-                / INST_BYTES as i64;
+            let delta = inst.imm.wrapping_sub(pc as i64 + INST_BYTES as i64) / INST_BYTES as i64;
             if !(-(1 << 15)..(1 << 15)).contains(&delta) {
                 return Err(EncodeError::BranchOutOfRange {
                     target: inst.imm as u64,
@@ -280,16 +278,11 @@ fn branch_target(pc: u64, raw16: u32) -> u64 {
 /// # Errors
 ///
 /// Returns the first [`EncodeError`] with its instruction index.
-pub fn encode_program(
-    insts: &[Inst],
-    text_base: u64,
-) -> Result<Vec<u32>, (usize, EncodeError)> {
+pub fn encode_program(insts: &[Inst], text_base: u64) -> Result<Vec<u32>, (usize, EncodeError)> {
     insts
         .iter()
         .enumerate()
-        .map(|(i, inst)| {
-            encode(inst, text_base + i as u64 * INST_BYTES).map_err(|e| (i, e))
-        })
+        .map(|(i, inst)| encode(inst, text_base + i as u64 * INST_BYTES).map_err(|e| (i, e)))
         .collect()
 }
 
@@ -316,9 +309,18 @@ mod tests {
 
     #[test]
     fn alu_roundtrips() {
-        roundtrip(Inst::rrr(Op::Add, Reg::int(1), Reg::int(2), Reg::int(3)), 0x1000);
-        roundtrip(Inst::rrr(Op::Nor, Reg::int(31), Reg::ZERO, Reg::int(15)), 0x1000);
-        roundtrip(Inst::rri(Op::Addi, Reg::int(4), Reg::int(5), -32768), 0x1000);
+        roundtrip(
+            Inst::rrr(Op::Add, Reg::int(1), Reg::int(2), Reg::int(3)),
+            0x1000,
+        );
+        roundtrip(
+            Inst::rrr(Op::Nor, Reg::int(31), Reg::ZERO, Reg::int(15)),
+            0x1000,
+        );
+        roundtrip(
+            Inst::rri(Op::Addi, Reg::int(4), Reg::int(5), -32768),
+            0x1000,
+        );
         roundtrip(Inst::rri(Op::Ori, Reg::int(4), Reg::int(5), 0xffff), 0x1000);
         roundtrip(Inst::rri(Op::Lui, Reg::int(4), Reg::ZERO, 0xabcd), 0x1000);
         roundtrip(Inst::rri(Op::Sll, Reg::int(4), Reg::int(4), 63), 0x1000);
@@ -326,11 +328,17 @@ mod tests {
 
     #[test]
     fn fp_roundtrips() {
-        roundtrip(Inst::rrr(Op::MulF, Reg::fp(0), Reg::fp(30), Reg::fp(7)), 0x2000);
+        roundtrip(
+            Inst::rrr(Op::MulF, Reg::fp(0), Reg::fp(30), Reg::fp(7)),
+            0x2000,
+        );
         roundtrip(Inst::rr(Op::SqrtF, Reg::fp(3), Reg::fp(4)), 0x2000);
         roundtrip(Inst::rr(Op::CvtFI, Reg::fp(2), Reg::int(9)), 0x2000);
         roundtrip(Inst::rr(Op::CvtIF, Reg::int(9), Reg::fp(2)), 0x2000);
-        roundtrip(Inst::rrr(Op::CltF, Reg::FCC, Reg::fp(1), Reg::fp(2)), 0x2000);
+        roundtrip(
+            Inst::rrr(Op::CltF, Reg::FCC, Reg::fp(1), Reg::fp(2)),
+            0x2000,
+        );
     }
 
     #[test]
@@ -345,7 +353,10 @@ mod tests {
     fn control_roundtrips() {
         let pc = 0x1000;
         roundtrip(Inst::branch2(Op::Beq, Reg::int(1), Reg::int(2), pc + 4), pc);
-        roundtrip(Inst::branch2(Op::Bne, Reg::int(1), Reg::int(2), pc - 400), pc);
+        roundtrip(
+            Inst::branch2(Op::Bne, Reg::int(1), Reg::int(2), pc - 400),
+            pc,
+        );
         roundtrip(Inst::branch1(Op::Blez, Reg::int(1), pc + 0x4000), pc);
         roundtrip(Inst::branch1(Op::Bc1t, Reg::FCC, pc + 8), pc);
         roundtrip(Inst::jump(Op::J, 0x0040_0000), pc);

@@ -294,7 +294,10 @@ impl Op {
     /// The functional-unit pool this operation executes on.
     pub fn fu_class(self) -> FuClass {
         match self.class() {
-            OpClass::IntAlu | OpClass::Branch | OpClass::Jump | OpClass::JumpReg
+            OpClass::IntAlu
+            | OpClass::Branch
+            | OpClass::Jump
+            | OpClass::JumpReg
             | OpClass::Misc => FuClass::IntAlu,
             OpClass::IntMul => FuClass::IntMulDiv,
             OpClass::Load | OpClass::Store => FuClass::LoadStore,

@@ -192,7 +192,9 @@ pub struct RegFile {
 impl RegFile {
     /// Creates a register file with every register zeroed.
     pub fn new() -> RegFile {
-        RegFile { vals: [0; NUM_REGS] }
+        RegFile {
+            vals: [0; NUM_REGS],
+        }
     }
 
     /// Reads a register. `r0` always reads as zero.

@@ -132,7 +132,11 @@ where
         }
         Op::Rem => {
             let (a, b) = (s1() as i64, s2() as i64);
-            out.result = Some(if b == 0 { a as u64 } else { a.wrapping_rem(b) as u64 });
+            out.result = Some(if b == 0 {
+                a as u64
+            } else {
+                a.wrapping_rem(b) as u64
+            });
         }
         Op::And => out.result = Some(s1() & s2()),
         Op::Or => out.result = Some(s1() | s2()),
@@ -193,7 +197,10 @@ where
             })
         }
         Op::Jalr => {
-            out.control = Some(ControlOut { taken: true, target: s1() });
+            out.control = Some(ControlOut {
+                taken: true,
+                target: s1(),
+            });
             out.result = Some(pc.wrapping_add(INST_BYTES));
         }
 
@@ -264,7 +271,10 @@ mod tests {
         assert_eq!(execute(&i, 0, rd, &mem).result, Some(10));
         // i64::MIN / -1 must not trap.
         let i = Inst::rrr(Op::Div, Reg::int(1), Reg::int(2), Reg::int(3));
-        let rd = regs([(Reg::int(2), i64::MIN as u64), (Reg::int(3), (-1i64) as u64)]);
+        let rd = regs([
+            (Reg::int(2), i64::MIN as u64),
+            (Reg::int(3), (-1i64) as u64),
+        ]);
         assert_eq!(execute(&i, 0, rd, &mem).result, Some(i64::MIN as u64));
     }
 
@@ -312,7 +322,13 @@ mod tests {
         let mem = MemImage::new();
         let beq = Inst::branch2(Op::Beq, Reg::int(1), Reg::int(2), 0x400);
         let out = execute(&beq, 0x100, |_| 7, &mem);
-        assert_eq!(out.control, Some(ControlOut { taken: true, target: 0x400 }));
+        assert_eq!(
+            out.control,
+            Some(ControlOut {
+                taken: true,
+                target: 0x400
+            })
+        );
         assert_eq!(out.next_pc(0x100), 0x400);
 
         let bgtz = Inst::branch1(Op::Bgtz, Reg::int(1), 0x400);
@@ -338,7 +354,10 @@ mod tests {
     #[test]
     fn fp_operations() {
         let mem = MemImage::new();
-        let rd = regs([(Reg::fp(1), 2.0f64.to_bits()), (Reg::fp(2), 8.0f64.to_bits())]);
+        let rd = regs([
+            (Reg::fp(1), 2.0f64.to_bits()),
+            (Reg::fp(2), 8.0f64.to_bits()),
+        ]);
         let mul = Inst::rrr(Op::MulF, Reg::fp(0), Reg::fp(1), Reg::fp(2));
         assert_eq!(execute(&mul, 0, &rd, &mem).result, Some(16.0f64.to_bits()));
         let sqrt = Inst::rr(Op::SqrtF, Reg::fp(0), Reg::fp(2));
@@ -362,9 +381,15 @@ mod tests {
     #[test]
     fn conversions() {
         let mem = MemImage::new();
-        let rd = regs([(Reg::int(1), (-3i64) as u64), (Reg::fp(1), 2.9f64.to_bits())]);
+        let rd = regs([
+            (Reg::int(1), (-3i64) as u64),
+            (Reg::fp(1), 2.9f64.to_bits()),
+        ]);
         let to_f = Inst::rr(Op::CvtFI, Reg::fp(0), Reg::int(1));
-        assert_eq!(execute(&to_f, 0, &rd, &mem).result, Some((-3.0f64).to_bits()));
+        assert_eq!(
+            execute(&to_f, 0, &rd, &mem).result,
+            Some((-3.0f64).to_bits())
+        );
         let to_i = Inst::rr(Op::CvtIF, Reg::int(2), Reg::fp(1));
         assert_eq!(execute(&to_i, 0, &rd, &mem).result, Some(2));
     }

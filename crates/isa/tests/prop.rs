@@ -38,10 +38,20 @@ fn arb_inst(rng: &mut Rng) -> Inst {
         }
         1 => {
             let op = RRI_OPS[rng.gen_range(0..RRI_OPS.len())];
-            Inst::rri(op, arb_reg(rng), arb_reg(rng), rng.gen_range(-10_000i64..10_000))
+            Inst::rri(
+                op,
+                arb_reg(rng),
+                arb_reg(rng),
+                rng.gen_range(-10_000i64..10_000),
+            )
         }
         2 => Inst::rrr(Op::AddF, arb_freg(rng), arb_freg(rng), arb_freg(rng)),
-        _ => Inst::rri(Op::Lui, arb_reg(rng), Reg::ZERO, rng.gen_range(0i64..0x10000)),
+        _ => Inst::rri(
+            Op::Lui,
+            arb_reg(rng),
+            Reg::ZERO,
+            rng.gen_range(0i64..0x10000),
+        ),
     }
 }
 

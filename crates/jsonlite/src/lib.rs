@@ -52,9 +52,7 @@ impl JsonValue {
     /// Looks up a key in an object; `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -98,7 +96,11 @@ impl JsonValue {
 /// documents only ever hold `u64` counters, strings, booleans, and
 /// containers, and anything else indicates corruption.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -136,10 +138,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
         }
     }
 
@@ -244,11 +243,9 @@ impl<'a> Parser<'a> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code).ok_or("invalid \\u code point")?,
-                            );
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
                             self.pos += 4;
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
@@ -263,11 +260,7 @@ impl<'a> Parser<'a> {
                     // to do bytewise until the next ASCII delimiter).
                     let start = self.pos;
                     self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b & 0xc0 == 0x80)
-                    {
+                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xc0 == 0x80) {
                         self.pos += 1;
                     }
                     out.push_str(
@@ -351,7 +344,9 @@ impl Default for JsonObj {
 impl JsonObj {
     /// Starts an empty object.
     pub fn new() -> JsonObj {
-        JsonObj { out: String::from("{") }
+        JsonObj {
+            out: String::from("{"),
+        }
     }
 
     fn key(&mut self, k: &str) {
@@ -415,7 +410,12 @@ impl JsonObj {
 /// parser refuses.
 pub fn validate_json(text: &str, required_keys: &[&str]) -> Result<(), String> {
     let bytes = text.as_bytes();
-    let mut p = Validator { bytes, pos: 0, top_keys: Vec::new(), depth: 0 };
+    let mut p = Validator {
+        bytes,
+        pos: 0,
+        top_keys: Vec::new(),
+        depth: 0,
+    };
     p.skip_ws();
     p.value(true)?;
     p.skip_ws();
@@ -457,10 +457,7 @@ impl Validator<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at offset {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected {:?} at offset {}", b as char, self.pos))
         }
     }
 
@@ -575,10 +572,7 @@ impl Validator<'_> {
                             }
                         }
                         other => {
-                            return Err(format!(
-                                "bad escape {other:?} at offset {}",
-                                self.pos
-                            ))
+                            return Err(format!("bad escape {other:?} at offset {}", self.pos))
                         }
                     }
                 }
@@ -660,7 +654,10 @@ mod tests {
     fn parser_handles_escapes_and_nesting() {
         let v = parse_json(r#"{"msg": "a\"b\\c\ndA", "arr": [1, [2, {"x": true}], null]}"#)
             .expect("parse");
-        assert_eq!(v.get("msg").and_then(JsonValue::as_str), Some("a\"b\\c\ndA"));
+        assert_eq!(
+            v.get("msg").and_then(JsonValue::as_str),
+            Some("a\"b\\c\ndA")
+        );
         let arr = v.get("arr").and_then(JsonValue::as_arr).expect("arr");
         assert_eq!(arr.first().and_then(JsonValue::as_u64), Some(1));
         assert_eq!(arr.get(2), Some(&JsonValue::Null));
@@ -684,7 +681,10 @@ mod tests {
             .s("msg", "a\"b\n")
             .raw("nested", "[1, 2]")
             .finish();
-        assert_eq!(text, "{\"n\": 7, \"flag\": true, \"msg\": \"a\\\"b\\n\", \"nested\": [1, 2]}");
+        assert_eq!(
+            text,
+            "{\"n\": 7, \"flag\": true, \"msg\": \"a\\\"b\\n\", \"nested\": [1, 2]}"
+        );
         let v = parse_json(&text).expect("round trip");
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(7));
         assert_eq!(v.get("msg").and_then(JsonValue::as_str), Some("a\"b\n"));

@@ -12,8 +12,8 @@ use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseBuffer};
 
 use crate::config::{IrConfig, Validation};
 use crate::{
-    CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport, ReuseAction,
-    ReuseGrant, SpeculationMechanism, SquashVictim,
+    CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport, ReuseAction, ReuseGrant,
+    SpeculationMechanism, SquashVictim,
 };
 
 /// Instruction reuse as a pluggable mechanism: the reuse buffer and the

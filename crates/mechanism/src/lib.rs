@@ -41,8 +41,7 @@ mod rtb;
 mod vp;
 
 pub use config::{
-    BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig,
-    VpKind,
+    BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig, VpKind,
 };
 pub use ir::IrMech;
 pub use registry::build_mechanisms;

@@ -12,8 +12,7 @@
 use vpir_isa::Program;
 
 use crate::config::{
-    BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig,
-    VpKind,
+    BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig, VpKind,
 };
 use crate::{IrMech, RtbMech, SpeculationMechanism, VpMech};
 
@@ -186,7 +185,15 @@ mod tests {
                 "machine label must resolve: {label}"
             );
         }
-        for bad in ["", "limit", "basex", "magic:ME-SB", "magic:XX-SB:vl1", "rtb:t5", "rtb"] {
+        for bad in [
+            "",
+            "limit",
+            "basex",
+            "magic:ME-SB",
+            "magic:XX-SB:vl1",
+            "rtb:t5",
+            "rtb",
+        ] {
             assert!(enhancement_for_label(bad).is_none(), "accepted `{bad}`");
         }
     }

@@ -47,8 +47,8 @@ use vpir_isa::{LoadSource, MemWidth, OpClass, Program, Reg, INST_BYTES, TEXT_BAS
 
 use crate::config::RtbConfig;
 use crate::{
-    class_index, CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport,
-    MemberPlan, ReplayQuery, SpeculationMechanism,
+    class_index, CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport, MemberPlan,
+    ReplayQuery, SpeculationMechanism,
 };
 use vpir_stats::RtbStats;
 
@@ -307,7 +307,9 @@ impl RtbMech {
                     if earlier.class != Some(OpClass::Store) {
                         continue;
                     }
-                    let Some((saddr, swidth)) = earlier.mem else { continue };
+                    let Some((saddr, swidth)) = earlier.mem else {
+                        continue;
+                    };
                     let send = saddr + swidth.bytes();
                     if saddr < lend && laddr < send {
                         covered = Some(saddr <= laddr && send >= lend);
@@ -343,7 +345,9 @@ impl RtbMech {
         let mut victim_used = u64::MAX;
         let mut refresh = false;
         for w in 0..ways {
-            let Some(e) = self.table.get(base + w) else { continue };
+            let Some(e) = self.table.get(base + w) else {
+                continue;
+            };
             if e.valid && e.head_pc == head.pc {
                 victim = base + w;
                 refresh = true;
@@ -387,7 +391,10 @@ impl RtbMech {
         let Some(rs) = self.replay else { return false };
         let member = self.table.get(rs.entry_idx).and_then(|e| {
             if e.valid {
-                e.members.get(rs.cursor).copied().map(|m| (m, e.members.len()))
+                e.members
+                    .get(rs.cursor)
+                    .copied()
+                    .map(|m| (m, e.members.len()))
             } else {
                 None
             }
@@ -449,11 +456,7 @@ impl SpeculationMechanism for RtbMech {
         // Pendings are queued in capture order; every member of a
         // pending whose last member has committed must itself have
         // committed (a squashed member would have discarded it).
-        while self
-            .pending
-            .front()
-            .is_some_and(|p| p.last_seq <= ev.seq)
-        {
+        while self.pending.front().is_some_and(|p| p.last_seq <= ev.seq) {
             if let Some(p) = self.pending.pop_front() {
                 self.install(p);
             }
@@ -478,11 +481,7 @@ impl SpeculationMechanism for RtbMech {
         // dropped.
         self.builder_reset();
         self.replay = None;
-        while self
-            .pending
-            .back()
-            .is_some_and(|p| p.last_seq > keep_seq)
-        {
+        while self.pending.back().is_some_and(|p| p.last_seq > keep_seq) {
             if let Some(p) = self.pending.pop_back() {
                 self.stats.pending_squashed += 1;
                 self.recycle(p);
@@ -506,7 +505,9 @@ impl SpeculationMechanism for RtbMech {
             }
         }
         let Some(idx) = found else { return false };
-        let Some(entry) = self.table.get(idx) else { return false };
+        let Some(entry) = self.table.get(idx) else {
+            return false;
+        };
         let n = entry.members.len();
         if n == 0 || n > q.rob_free {
             return false;

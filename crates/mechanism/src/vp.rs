@@ -14,8 +14,9 @@ use vpir_predict::{
 };
 
 use crate::config::{VpConfig, VpKind};
-use crate::{CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport,
-    SpeculationMechanism};
+use crate::{
+    CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport, SpeculationMechanism,
+};
 
 /// One configured value predictor (static dispatch over the kinds).
 #[derive(Debug, Clone)]

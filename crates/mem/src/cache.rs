@@ -125,7 +125,10 @@ impl Cache {
     /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
     /// line size, or a line larger than a way's share of the capacity).
     pub fn new(config: CacheConfig) -> Cache {
-        assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(config.assoc > 0 && config.mshrs > 0);
         assert!(config.sets() > 0, "capacity must hold at least one set");
         Cache {
@@ -193,7 +196,11 @@ impl Cache {
         self.mshrs.retain(|m| m.ready_cycle > now);
 
         let tick = self.tick;
-        if let Some(way) = self.set_mut(set).iter_mut().find(|w| w.valid && w.tag == tag) {
+        if let Some(way) = self
+            .set_mut(set)
+            .iter_mut()
+            .find(|w| w.valid && w.tag == tag)
+        {
             way.lru = tick;
             // A hit on a line whose fill is still in flight completes with
             // the fill, not before.
@@ -230,10 +237,10 @@ impl Cache {
         // The set is non-empty (assoc is validated positive at
         // construction), so a victim always exists; `if let` keeps the
         // miss path panic-free without changing the selection.
-        if let Some(victim) = self
-            .set_mut(set)
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
+        if let Some(victim) =
+            self.set_mut(set)
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.lru } else { 0 })
         {
             victim.tag = tag;
             victim.valid = true;

@@ -208,7 +208,11 @@ mod tests {
     #[test]
     fn magic_never_invents_values() {
         let mut vp = MagicPredictor::new(small());
-        assert_eq!(vp.predict(0x30, Some(42)), None, "empty table predicts nothing");
+        assert_eq!(
+            vp.predict(0x30, Some(42)),
+            None,
+            "empty table predicts nothing"
+        );
         vp.train(0x30, 7);
         vp.train(0x30, 7);
         // 42 was never stored; magic still predicts a stored value.

@@ -299,7 +299,13 @@ impl ReuseBuffer {
     /// same-cycle dependence-chain reuse. All buffered instances are
     /// tested (in parallel, in hardware); full reuse is preferred over
     /// address-only reuse.
-    pub fn lookup<F>(&mut self, pc: u64, op: Op, operands: &F, reused_now: &[EntryRef]) -> Option<Reused>
+    pub fn lookup<F>(
+        &mut self,
+        pc: u64,
+        op: Op,
+        operands: &F,
+        reused_now: &[EntryRef],
+    ) -> Option<Reused>
     where
         F: Fn(Reg) -> OperandView,
     {
@@ -564,7 +570,10 @@ impl ReuseBuffer {
         // (and its count) idempotent when a multi-block store visits the
         // same entry through two buckets.
         let ReuseBuffer {
-            slots, mem_index, stats, ..
+            slots,
+            mem_index,
+            stats,
+            ..
         } = self;
         for b in blocks(addr, width) {
             for s in mem_index[mem_bucket(b)].iter() {
@@ -610,12 +619,7 @@ impl ReuseBuffer {
     /// Number of live instances buffered for `pc`.
     pub fn instances(&self, pc: u64) -> usize {
         self.set_slots(pc)
-            .filter(|&idx| {
-                self.slots[idx]
-                    .entry
-                    .as_ref()
-                    .is_some_and(|e| e.pc == pc)
-            })
+            .filter(|&idx| self.slots[idx].entry.as_ref().is_some_and(|e| e.pc == pc))
             .count()
     }
 }

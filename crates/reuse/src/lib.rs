@@ -67,6 +67,5 @@ mod buffer;
 mod slotset;
 
 pub use buffer::{
-    EntryRef, OperandView, RbConfig, RbInsert, RbMem, ReuseBuffer, ReuseScheme, Reused,
-    ReuseStats,
+    EntryRef, OperandView, RbConfig, RbInsert, RbMem, ReuseBuffer, ReuseScheme, ReuseStats, Reused,
 };

@@ -119,7 +119,9 @@ mod tests {
         // Deterministic pseudo-random membership.
         let mut x: u64 = 0x9e3779b97f4a7c15;
         for _ in 0..100 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let slot = (x >> 33) as u32 % 256;
             s.insert(slot);
             reference.insert(slot);

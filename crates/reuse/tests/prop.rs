@@ -164,7 +164,9 @@ fn fresh_entry_hits() {
                 OperandView::settled(b)
             }
         };
-        let hit = rb.lookup(pc, Op::Xor, &view, &[]).expect("fresh entry reusable");
+        let hit = rb
+            .lookup(pc, Op::Xor, &view, &[])
+            .expect("fresh entry reusable");
         assert_eq!(hit.result, Some(a ^ b));
     });
 }

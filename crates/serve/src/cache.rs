@@ -71,7 +71,9 @@ struct MemInner {
 
 impl MemInner {
     fn touch(&mut self, key: u64) {
-        let Some(entry) = self.map.get_mut(&key) else { return };
+        let Some(entry) = self.map.get_mut(&key) else {
+            return;
+        };
         self.recency.remove(&entry.seq);
         entry.seq = self.next_seq;
         self.recency.insert(self.next_seq, key);
@@ -93,7 +95,9 @@ impl MemInner {
         self.recency.insert(seq, key);
         self.bytes += body_bytes;
         while self.map.len() > max_entries || self.bytes > max_bytes {
-            let Some((&victim_seq, &victim_key)) = self.recency.iter().next() else { break };
+            let Some((&victim_seq, &victim_key)) = self.recency.iter().next() else {
+                break;
+            };
             if victim_key == key {
                 break; // never evict the entry just inserted
             }
@@ -160,7 +164,8 @@ impl ResultCache {
         // written from a `String`, so this conversion cannot fail in
         // practice — but a failure must still read as a miss.
         let body = Arc::new(String::from_utf8(bytes).ok()?);
-        self.lock().insert(key, Arc::clone(&body), self.max_entries, self.max_bytes);
+        self.lock()
+            .insert(key, Arc::clone(&body), self.max_entries, self.max_bytes);
         Some((body, HitTier::Disk))
     }
 
@@ -169,7 +174,8 @@ impl ResultCache {
         if let Some(store) = &self.store {
             store.insert(key, body.as_bytes());
         }
-        self.lock().insert(key, body, self.max_entries, self.max_bytes);
+        self.lock()
+            .insert(key, body, self.max_entries, self.max_bytes);
     }
 
     /// Number of entries currently held in memory.
@@ -242,8 +248,14 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.mem_evicted(), 1);
         assert!(cache.get(2).is_none(), "LRU entry evicted");
-        assert_eq!(cache.get(1).map(|(b, _)| b.to_string()), Some("one".to_string()));
-        assert_eq!(cache.get(3).map(|(b, _)| b.to_string()), Some("three".to_string()));
+        assert_eq!(
+            cache.get(1).map(|(b, _)| b.to_string()),
+            Some("one".to_string())
+        );
+        assert_eq!(
+            cache.get(3).map(|(b, _)| b.to_string()),
+            Some("three".to_string())
+        );
     }
 
     #[test]
@@ -259,7 +271,10 @@ mod tests {
         assert!(cache.get(4).is_none());
         // Re-inserting an existing key replaces, not duplicates.
         cache.insert(3, body("c'"));
-        assert_eq!(cache.get(3).map(|(b, _)| b.to_string()), Some("c'".to_string()));
+        assert_eq!(
+            cache.get(3).map(|(b, _)| b.to_string()),
+            Some("c'".to_string())
+        );
     }
 
     #[test]

@@ -190,7 +190,11 @@ mod tests {
         }
         assert_eq!(h.p50(), 127, "bucket [64,128) holds the fast mass");
         assert_eq!(h.p99(), 127, "rank 990 is still a fast sample");
-        assert_eq!(h.p999(), (1u64 << 20) - 1, "the p99.9 rank lands in the slow tail");
+        assert_eq!(
+            h.p999(),
+            (1u64 << 20) - 1,
+            "the p99.9 rank lands in the slow tail"
+        );
         assert_eq!(h.max(), 1_000_000);
     }
 
@@ -202,7 +206,11 @@ mod tests {
         assert_eq!(h.p50(), 0, "zero lands in bucket 0");
         h.record(u64::MAX);
         assert_eq!(h.percentile(100, 100), u64::MAX);
-        assert_eq!(h.percentile(7, 0), 0, "zero denominator is refused, not divided");
+        assert_eq!(
+            h.percentile(7, 0),
+            0,
+            "zero denominator is refused, not divided"
+        );
         let json = h.to_json();
         assert!(json.contains("\"count\": 2"), "{json}");
         assert!(json.contains("\"p999_us\": "), "{json}");

@@ -62,7 +62,10 @@ pub struct HttpError {
 impl HttpError {
     /// Builds an error with the given status and detail message.
     pub fn new(status: u16, message: impl Into<String>) -> HttpError {
-        HttpError { status, message: message.into() }
+        HttpError {
+            status,
+            message: message.into(),
+        }
     }
 }
 
@@ -118,7 +121,10 @@ pub fn parse_head(text: &str) -> Result<Head, HttpError> {
         }
     };
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(HttpError::new(400, format!("unsupported version `{version}`")));
+        return Err(HttpError::new(
+            400,
+            format!("unsupported version `{version}`"),
+        ));
     }
     if !path.starts_with('/') {
         return Err(HttpError::new(400, format!("bad request target `{path}`")));
@@ -129,7 +135,10 @@ pub fn parse_head(text: &str) -> Result<Head, HttpError> {
             continue;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::new(400, format!("malformed header line `{line}`")));
+            return Err(HttpError::new(
+                400,
+                format!("malformed header line `{line}`"),
+            ));
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
@@ -161,7 +170,10 @@ pub struct ConnReader<R> {
 impl<R: Read> ConnReader<R> {
     /// Wraps a stream with an empty carry-over buffer.
     pub fn new(stream: R) -> ConnReader<R> {
-        ConnReader { stream, buf: Vec::with_capacity(1024) }
+        ConnReader {
+            stream,
+            buf: Vec::with_capacity(1024),
+        }
     }
 
     /// Whether bytes from a previous read are waiting to be parsed
@@ -175,7 +187,8 @@ impl<R: Read> ConnReader<R> {
     fn fill(&mut self) -> Result<bool, std::io::Error> {
         let mut chunk = [0u8; 1024];
         let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
+        self.buf
+            .extend_from_slice(chunk.get(..n).unwrap_or_default());
         Ok(n > 0)
     }
 
@@ -197,7 +210,10 @@ impl<R: Read> ConnReader<R> {
             }
             Some(e) => Err(HttpError::new(400, format!("read error: {e}"))),
             None if idle => Ok(None),
-            None => Err(HttpError::new(400, "truncated request (connection closed mid-head)")),
+            None => Err(HttpError::new(
+                400,
+                "truncated request (connection closed mid-head)",
+            )),
         }
     }
 
@@ -357,10 +373,22 @@ mod tests {
         // (raw head, expected keep_alive, case)
         let table: &[(&str, bool, &str)] = &[
             ("GET /healthz HTTP/1.1\r\n", true, "1.1 default"),
-            ("GET /healthz HTTP/1.1\r\nConnection: close\r\n", false, "1.1 close"),
-            ("GET /healthz HTTP/1.1\r\nConnection: Close\r\n", false, "1.1 close, mixed case"),
+            (
+                "GET /healthz HTTP/1.1\r\nConnection: close\r\n",
+                false,
+                "1.1 close",
+            ),
+            (
+                "GET /healthz HTTP/1.1\r\nConnection: Close\r\n",
+                false,
+                "1.1 close, mixed case",
+            ),
             ("GET /healthz HTTP/1.0\r\n", false, "1.0 default"),
-            ("GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n", true, "1.0 opt-in"),
+            (
+                "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n",
+                true,
+                "1.0 opt-in",
+            ),
         ];
         for (raw, want, case) in table {
             let head = parse_head(raw).expect(case);
@@ -383,7 +411,10 @@ mod tests {
         let third = reader.next_request(1024).expect("third").expect("present");
         assert_eq!(third.path, "/metrics");
         assert!(!third.keep_alive);
-        assert!(reader.next_request(1024).expect("eof").is_none(), "clean end of stream");
+        assert!(
+            reader.next_request(1024).expect("eof").is_none(),
+            "clean end of stream"
+        );
     }
 
     #[test]
@@ -393,8 +424,16 @@ mod tests {
             (b"GET\r\n\r\n", 400, "truncated request line"),
             (b"GET /x\r\n\r\n", 400, "missing version"),
             (b"GET /x HTTP/2.0\r\n\r\n", 400, "unsupported version"),
-            (b"GET x HTTP/1.1\r\n\r\n", 400, "target without leading slash"),
-            (b"POST /v1/run HTTP/1.1\r\n\r\n", 411, "POST without Content-Length"),
+            (
+                b"GET x HTTP/1.1\r\n\r\n",
+                400,
+                "target without leading slash",
+            ),
+            (
+                b"POST /v1/run HTTP/1.1\r\n\r\n",
+                411,
+                "POST without Content-Length",
+            ),
             (
                 b"POST /v1/run HTTP/1.1\r\nContent-Length: zap\r\n\r\n",
                 400,
@@ -410,7 +449,11 @@ mod tests {
                 400,
                 "malformed header line",
             ),
-            (b"POST /v1/run HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc", 400, "body cut short"),
+            (
+                b"POST /v1/run HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc",
+                400,
+                "body cut short",
+            ),
             (b"GET /healthz HTT", 400, "EOF mid-head"),
         ];
         for (bytes, want, case) in table {
@@ -471,7 +514,10 @@ mod tests {
         assert_eq!(reader.next_request(1024).err().map(|e| e.status), Some(408));
 
         // Nothing buffered at all: an idle keep-alive timeout, not an error.
-        let mut reader = ConnReader::new(Stalling { data: Vec::new(), pos: 0 });
+        let mut reader = ConnReader::new(Stalling {
+            data: Vec::new(),
+            pos: 0,
+        });
         assert_eq!(reader.next_request(1024), Ok(None));
     }
 

@@ -69,8 +69,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vpir_bench::matrix::{
-    build_programs, config_for_label, config_labels, run_matrix_outcome, InjectFault,
-    MatrixConfig, MatrixOutcome, RunOptions,
+    build_programs, config_for_label, config_labels, run_matrix_outcome, InjectFault, MatrixConfig,
+    MatrixOutcome, RunOptions,
 };
 use vpir_bench::state::stats_to_json;
 use vpir_core::{RunLimits, SimError, Simulator, TraceOutcome};
@@ -195,9 +195,17 @@ impl State {
     fn new(cfg: ServeConfig, addr: SocketAddr) -> io::Result<State> {
         let store = match &cfg.cache_dir {
             None => None,
-            Some(dir) => Some(DiskStore::open(dir, cfg.cache_disk_bytes, cfg.inject_fault)?),
+            Some(dir) => Some(DiskStore::open(
+                dir,
+                cfg.cache_disk_bytes,
+                cfg.inject_fault,
+            )?),
         };
-        let cache = Arc::new(ResultCache::new(cfg.cache_capacity, cfg.cache_mem_bytes, store));
+        let cache = Arc::new(ResultCache::new(
+            cfg.cache_capacity,
+            cfg.cache_mem_bytes,
+            store,
+        ));
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         Ok(State {
             cfg,
@@ -231,7 +239,9 @@ impl State {
     /// refreshes the exported gauge.
     fn shed(&self) -> ShedState {
         let shed = ShedState::for_depth(self.queue.depth(), self.cfg.queue_capacity.max(1));
-        self.metrics.shed_state.store(shed as u64, Ordering::Relaxed);
+        self.metrics
+            .shed_state
+            .store(shed as u64, Ordering::Relaxed);
         shed
     }
 
@@ -243,14 +253,26 @@ impl State {
 }
 
 fn sync_cache_metrics(metrics: &Metrics, cache: &ResultCache) {
-    metrics.cache_entries.store(cache.len() as u64, Ordering::Relaxed);
-    metrics.cache_mem_bytes.store(cache.mem_bytes(), Ordering::Relaxed);
-    metrics.cache_entries_evicted.store(cache.mem_evicted(), Ordering::Relaxed);
+    metrics
+        .cache_entries
+        .store(cache.len() as u64, Ordering::Relaxed);
+    metrics
+        .cache_mem_bytes
+        .store(cache.mem_bytes(), Ordering::Relaxed);
+    metrics
+        .cache_entries_evicted
+        .store(cache.mem_evicted(), Ordering::Relaxed);
     if let Some(stats) = cache.store_stats() {
-        metrics.store_entries.store(stats.entries, Ordering::Relaxed);
+        metrics
+            .store_entries
+            .store(stats.entries, Ordering::Relaxed);
         metrics.store_bytes.store(stats.bytes, Ordering::Relaxed);
-        metrics.store_evictions.store(stats.evictions, Ordering::Relaxed);
-        metrics.store_quarantined.store(stats.quarantined, Ordering::Relaxed);
+        metrics
+            .store_evictions
+            .store(stats.evictions, Ordering::Relaxed);
+        metrics
+            .store_quarantined
+            .store(stats.quarantined, Ordering::Relaxed);
     }
 }
 
@@ -281,7 +303,12 @@ impl Server {
         let accept = std::thread::Builder::new()
             .name("vpir-serve-accept".to_string())
             .spawn(move || accept_loop(&listener, &accept_state))?;
-        Ok(Server { addr, accept: Some(accept), workers, state })
+        Ok(Server {
+            addr,
+            accept: Some(accept),
+            workers,
+            state,
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -341,7 +368,10 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
-        state.metrics.connections_total.fetch_add(1, Ordering::Relaxed);
+        state
+            .metrics
+            .connections_total
+            .fetch_add(1, Ordering::Relaxed);
         if state.active_connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             let mut stream = stream;
             state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
@@ -408,7 +438,10 @@ impl Response {
 }
 
 fn error_body(status: u16, message: &str) -> String {
-    JsonObj::new().u("status", u64::from(status)).s("error", message).finish()
+    JsonObj::new()
+        .u("status", u64::from(status))
+        .s("error", message)
+        .finish()
 }
 
 fn elapsed_micros(started: Instant) -> u64 {
@@ -437,7 +470,7 @@ fn handle_connection(stream: &TcpStream, state: &Arc<State>) {
             let _ = stream.set_read_timeout(Some(state.cfg.idle_timeout));
             let mut probe = [0u8; 1];
             match stream.peek(&mut probe) {
-                Ok(0) => return,  // clean EOF between requests
+                Ok(0) => return, // clean EOF between requests
                 Ok(_) => {}
                 Err(_) => return, // idle timeout or socket error
             }
@@ -451,7 +484,10 @@ fn handle_connection(stream: &TcpStream, state: &Arc<State>) {
             Err(err) => {
                 state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                 if err.status == 408 {
-                    state.metrics.slow_client_timeouts.fetch_add(1, Ordering::Relaxed);
+                    state
+                        .metrics
+                        .slow_client_timeouts
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 state.metrics.observe_status(err.status);
                 let resp = Response::from_error(&err);
@@ -486,7 +522,10 @@ fn handle_connection(stream: &TcpStream, state: &Arc<State>) {
             response.body.as_bytes(),
             close,
         );
-        state.metrics.latency_for(&request.path).record(elapsed_micros(started));
+        state
+            .metrics
+            .latency_for(&request.path)
+            .record(elapsed_micros(started));
         if response.shutdown {
             begin_shutdown(state);
         }
@@ -531,7 +570,10 @@ fn route(state: &Arc<State>, request: &Request) -> Result<Response, HttpError> {
         (_, "/v1/run" | "/v1/matrix" | "/v1/analyze" | "/v1/shutdown") => {
             Ok(method_not_allowed("POST", &request.method))
         }
-        _ => Err(HttpError::new(404, format!("no route for `{}`", request.path))),
+        _ => Err(HttpError::new(
+            404,
+            format!("no route for `{}`", request.path),
+        )),
     }
 }
 
@@ -549,8 +591,8 @@ fn method_not_allowed(allow: &'static str, method: &str) -> Response {
 // ----------------------------------------------------------------
 
 fn parse_body(body: &[u8]) -> Result<JsonValue, HttpError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| HttpError::new(400, "request body is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| HttpError::new(400, "request body is not UTF-8"))?;
     parse_json(text).map_err(|e| HttpError::new(400, format!("bad JSON: {e}")))
 }
 
@@ -590,7 +632,10 @@ fn get_str<'a>(value: &'a JsonValue, key: &str) -> Result<Option<&'a str>, HttpE
 
 fn bounded(name: &str, value: u64, max: u64) -> Result<u64, HttpError> {
     if value == 0 || value > max {
-        return Err(HttpError::new(400, format!("`{name}` must be in 1..={max}, got {value}")));
+        return Err(HttpError::new(
+            400,
+            format!("`{name}` must be in 1..={max}, got {value}"),
+        ));
     }
     Ok(value)
 }
@@ -599,13 +644,19 @@ fn bounded(name: &str, value: u64, max: u64) -> Result<u64, HttpError> {
 /// maps to a single machine configuration (`limit` is a study over
 /// instruction windows, not a machine, so it is excluded).
 fn runnable_labels() -> Vec<String> {
-    config_labels().into_iter().filter(|l| config_for_label(l).is_some()).collect()
+    config_labels()
+        .into_iter()
+        .filter(|l| config_for_label(l).is_some())
+        .collect()
 }
 
 fn parse_bench(name: &str) -> Result<Bench, HttpError> {
     Bench::parse(name).ok_or_else(|| {
         let names: Vec<&str> = Bench::ALL.iter().map(|b| b.name()).collect();
-        HttpError::new(400, format!("unknown bench `{name}` (valid: {})", names.join(", ")))
+        HttpError::new(
+            400,
+            format!("unknown bench `{name}` (valid: {})", names.join(", ")),
+        )
     })
 }
 
@@ -615,13 +666,19 @@ fn parse_bench(name: &str) -> Result<Bench, HttpError> {
 
 fn handle_run(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
     let value = parse_body(body)?;
-    check_keys(&value, &["bench", "asm", "config", "scale", "max_cycles", "trace"])?;
+    check_keys(
+        &value,
+        &["bench", "asm", "config", "scale", "max_cycles", "trace"],
+    )?;
 
     let label = get_str(&value, "config")?.unwrap_or("base").to_string();
     let Some(base_config) = config_for_label(&label) else {
         return Err(HttpError::new(
             400,
-            format!("unknown config `{label}` (valid: {})", runnable_labels().join(", ")),
+            format!(
+                "unknown config `{label}` (valid: {})",
+                runnable_labels().join(", ")
+            ),
         ));
     };
     let scale = bounded("scale", get_u64(&value, "scale", 2)?, MAX_SCALE)?;
@@ -634,17 +691,26 @@ fn handle_run(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
     if trace > state.cfg.max_trace {
         return Err(HttpError::new(
             400,
-            format!("`trace` must be at most {}, got {trace}", state.cfg.max_trace),
+            format!(
+                "`trace` must be at most {}, got {trace}",
+                state.cfg.max_trace
+            ),
         ));
     }
 
     let (program_name, prepared) = match (get_str(&value, "bench")?, get_str(&value, "asm")?) {
         (Some(_), Some(_)) | (None, None) => {
-            return Err(HttpError::new(400, "specify exactly one of `bench` and `asm`"))
+            return Err(HttpError::new(
+                400,
+                "specify exactly one of `bench` and `asm`",
+            ))
         }
         (Some(name), None) => {
             let bench = parse_bench(name)?;
-            (bench.name().to_string(), state.prepared(bench, scale as u32)?)
+            (
+                bench.name().to_string(),
+                state.prepared(bench, scale as u32)?,
+            )
         }
         (None, Some(source)) => {
             let program =
@@ -670,8 +736,13 @@ fn handle_run(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
             let mut config = base_config.clone();
             config.trace_capacity = trace as usize;
             let mut sim = Simulator::new(&prepared.program, config);
-            let err = sim.run_checked(RunLimits::cycles(max_cycles)).map(|_| ()).err();
-            metrics.sim_cycles_total.fetch_add(sim.stats().cycles, Ordering::Relaxed);
+            let err = sim
+                .run_checked(RunLimits::cycles(max_cycles))
+                .map(|_| ())
+                .err();
+            metrics
+                .sim_cycles_total
+                .fetch_add(sim.stats().cycles, Ordering::Relaxed);
             match &err {
                 None => metrics.runs_completed.fetch_add(1, Ordering::Relaxed),
                 Some(_) => metrics.runs_sim_error.fetch_add(1, Ordering::Relaxed),
@@ -703,7 +774,10 @@ fn render_run_body(
     };
     let error_json = match err {
         None => "null".to_string(),
-        Some(e) => JsonObj::new().s("kind", e.kind()).s("message", &e.to_string()).finish(),
+        Some(e) => JsonObj::new()
+            .s("kind", e.kind())
+            .s("message", &e.to_string())
+            .finish(),
     };
     let trace_json = match sim.trace() {
         None => "[]".to_string(),
@@ -739,7 +813,10 @@ fn render_run_body(
 }
 
 fn run_panic_body(message: &str) -> String {
-    let error_json = JsonObj::new().s("kind", "panic").s("message", message).finish();
+    let error_json = JsonObj::new()
+        .s("kind", "panic")
+        .s("message", message)
+        .finish();
     JsonObj::new()
         .s("schema", "vpir-serve-run-v1")
         .b("halted", false)
@@ -772,7 +849,16 @@ fn opt_u64(value: Option<u64>) -> String {
 
 fn handle_matrix(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
     let value = parse_body(body)?;
-    check_keys(&value, &["bench", "scale", "max_cycles", "limit_insts", "inject_fault"])?;
+    check_keys(
+        &value,
+        &[
+            "bench",
+            "scale",
+            "max_cycles",
+            "limit_insts",
+            "inject_fault",
+        ],
+    )?;
 
     let name = get_str(&value, "bench")?
         .ok_or_else(|| HttpError::new(400, "missing required key `bench`"))?;
@@ -783,8 +869,11 @@ fn handle_matrix(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError>
         get_u64(&value, "max_cycles", state.cfg.default_max_cycles)?,
         MAX_CYCLES_CAP,
     )?;
-    let limit_insts =
-        bounded("limit_insts", get_u64(&value, "limit_insts", 200_000)?, MAX_CYCLES_CAP)?;
+    let limit_insts = bounded(
+        "limit_insts",
+        get_u64(&value, "limit_insts", 200_000)?,
+        MAX_CYCLES_CAP,
+    )?;
     let fault_spec = get_str(&value, "inject_fault")?.map(str::to_string);
     let inject_fault = match &fault_spec {
         None => None,
@@ -833,7 +922,14 @@ fn handle_matrix(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError>
             };
             let programs = build_programs(&[bench], matrix_cfg.scale);
             let outcome = run_matrix_outcome(&[bench], &programs, matrix_cfg, 1, &opts);
-            render_matrix_body(&bench_name, scale, max_cycles, limit_insts, &outcome, &metrics)
+            render_matrix_body(
+                &bench_name,
+                scale,
+                max_cycles,
+                limit_insts,
+                &outcome,
+                &metrics,
+            )
         }));
         match rendered {
             Ok(body) => body,
@@ -863,10 +959,20 @@ fn render_matrix_body(
     outcome: &MatrixOutcome,
     metrics: &Metrics,
 ) -> String {
-    metrics.matrix_cells_failed.fetch_add(outcome.failures.len() as u64, Ordering::Relaxed);
-    metrics.runs_completed.fetch_add(outcome.completed_jobs as u64, Ordering::Relaxed);
-    let total_cycles = outcome.matrix.as_ref().map(|m| m.total_sim_cycles()).unwrap_or(0);
-    metrics.sim_cycles_total.fetch_add(total_cycles, Ordering::Relaxed);
+    metrics
+        .matrix_cells_failed
+        .fetch_add(outcome.failures.len() as u64, Ordering::Relaxed);
+    metrics
+        .runs_completed
+        .fetch_add(outcome.completed_jobs as u64, Ordering::Relaxed);
+    let total_cycles = outcome
+        .matrix
+        .as_ref()
+        .map(|m| m.total_sim_cycles())
+        .unwrap_or(0);
+    metrics
+        .sim_cycles_total
+        .fetch_add(total_cycles, Ordering::Relaxed);
     let failures: Vec<String> = outcome
         .failures
         .iter()
@@ -986,7 +1092,10 @@ fn respond_cached_or_enqueue(
                 "hit"
             }
             HitTier::Disk => {
-                state.metrics.cache_hits_disk.fetch_add(1, Ordering::Relaxed);
+                state
+                    .metrics
+                    .cache_hits_disk
+                    .fetch_add(1, Ordering::Relaxed);
                 "hit-disk"
             }
         };
@@ -1033,7 +1142,10 @@ fn respond_cached_or_enqueue(
     });
     match state.queue.try_push(job) {
         Ok(depth) => {
-            state.metrics.queue_depth.store(depth as u64, Ordering::Relaxed);
+            state
+                .metrics
+                .queue_depth
+                .store(depth as u64, Ordering::Relaxed);
         }
         Err(PushError::Full) => {
             return Err(HttpError::new(503, "job queue is full — retry shortly"))
@@ -1051,7 +1163,10 @@ fn respond_cached_or_enqueue(
             shutdown: false,
         }),
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            state.metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            state
+                .metrics
+                .deadline_exceeded
+                .fetch_add(1, Ordering::Relaxed);
             Ok(deadline_response(state.cfg.request_deadline))
         }
         Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -1087,7 +1202,11 @@ mod tests {
         let workers = cfg.workers;
         let addr: SocketAddr = "127.0.0.1:0".parse().expect("addr");
         let state = Arc::new(State::new(cfg, addr).expect("state"));
-        let handles = spawn_workers(workers, Arc::clone(&state.queue), Arc::clone(&state.metrics));
+        let handles = spawn_workers(
+            workers,
+            Arc::clone(&state.queue),
+            Arc::clone(&state.metrics),
+        );
         (state, handles)
     }
 
@@ -1133,12 +1252,28 @@ mod tests {
         let table: &[(&str, &str, &str)] = &[
             ("[]", "must be a JSON object", "non-object body"),
             ("{\"zap\": 1}", "unknown key `zap`", "unknown key"),
-            ("{\"bench\": \"go\", \"asm\": \"halt\"}", "exactly one", "both program forms"),
+            (
+                "{\"bench\": \"go\", \"asm\": \"halt\"}",
+                "exactly one",
+                "both program forms",
+            ),
             ("{}", "exactly one", "no program"),
             ("{\"bench\": \"nope\"}", "unknown bench", "bad bench"),
-            ("{\"bench\": \"go\", \"config\": \"warp\"}", "unknown config", "bad config"),
-            ("{\"bench\": \"go\", \"scale\": 0}", "`scale` must be", "zero scale"),
-            ("{\"bench\": \"go\", \"trace\": 999999}", "`trace` must be", "trace too big"),
+            (
+                "{\"bench\": \"go\", \"config\": \"warp\"}",
+                "unknown config",
+                "bad config",
+            ),
+            (
+                "{\"bench\": \"go\", \"scale\": 0}",
+                "`scale` must be",
+                "zero scale",
+            ),
+            (
+                "{\"bench\": \"go\", \"trace\": 999999}",
+                "`trace` must be",
+                "trace too big",
+            ),
             ("{\"asm\": \"not an opcode\"}", "asm error", "bad assembly"),
         ];
         for (body, fragment, case) in table {
@@ -1157,11 +1292,22 @@ mod tests {
         let body = b"{\"bench\": \"go\", \"max_cycles\": 20000}";
         let miss = handle_run(&state, body).expect("miss");
         assert_eq!(miss.status, 200);
-        assert!(miss.extra.iter().any(|(n, v)| *n == "X-Cache" && v == "miss"));
+        assert!(miss
+            .extra
+            .iter()
+            .any(|(n, v)| *n == "X-Cache" && v == "miss"));
         let hit = handle_run(&state, body).expect("hit");
         assert!(hit.extra.iter().any(|(n, v)| *n == "X-Cache" && v == "hit"));
-        assert_eq!(miss.body.as_str(), hit.body.as_str(), "hit must be byte-identical");
-        assert!(miss.body.contains("\"schema\": \"vpir-serve-run-v1\""), "{}", miss.body);
+        assert_eq!(
+            miss.body.as_str(),
+            hit.body.as_str(),
+            "hit must be byte-identical"
+        );
+        assert!(
+            miss.body.contains("\"schema\": \"vpir-serve-run-v1\""),
+            "{}",
+            miss.body
+        );
         assert!(miss.body.contains("\"stats\": {"), "{}", miss.body);
         assert_eq!(state.metrics.cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 1);
@@ -1174,9 +1320,17 @@ mod tests {
         let body = b"{\"asm\": \"li r1, 7\\naddi r1, r1, 1\\nhalt\", \"trace\": 8}";
         let resp = handle_run(&state, body).expect("inline run");
         assert_eq!(resp.status, 200);
-        assert!(resp.body.contains("\"program\": \"inline\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("\"program\": \"inline\""),
+            "{}",
+            resp.body
+        );
         assert!(resp.body.contains("\"halted\": true"), "{}", resp.body);
-        assert!(resp.body.contains("\"outcome\": \"executed\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("\"outcome\": \"executed\""),
+            "{}",
+            resp.body
+        );
         finish(&state, handles);
     }
 
@@ -1187,7 +1341,11 @@ mod tests {
             ("[]", "must be a JSON object", "non-object body"),
             ("{\"zap\": 1}", "unknown key `zap`", "unknown key"),
             ("{}", "missing required key `asm`", "no program"),
-            ("{\"asm\": \"not an opcode\"}", "asm error: inline:1:", "bad assembly"),
+            (
+                "{\"asm\": \"not an opcode\"}",
+                "asm error: inline:1:",
+                "bad assembly",
+            ),
         ];
         for (body, fragment, case) in table {
             let err = handle_analyze(&state, body.as_bytes()).expect_err(case);
@@ -1205,13 +1363,24 @@ mod tests {
         let body = b"{\"asm\": \"main: add r1, r2, r0\\nhalt\"}";
         let miss = handle_analyze(&state, body).expect("miss");
         assert_eq!(miss.status, 200);
-        assert!(miss.extra.iter().any(|(n, v)| *n == "X-Cache" && v == "miss"));
-        assert!(miss.body.contains("\"schema\": \"vpir-serve-analyze-v1\""), "{}", miss.body);
+        assert!(miss
+            .extra
+            .iter()
+            .any(|(n, v)| *n == "X-Cache" && v == "miss"));
+        assert!(
+            miss.body.contains("\"schema\": \"vpir-serve-analyze-v1\""),
+            "{}",
+            miss.body
+        );
         assert!(miss.body.contains("\"live\": 1"), "{}", miss.body);
         assert!(miss.body.contains("\"rule\":\"L2\""), "{}", miss.body);
         let hit = handle_analyze(&state, body).expect("hit");
         assert!(hit.extra.iter().any(|(n, v)| *n == "X-Cache" && v == "hit"));
-        assert_eq!(miss.body.as_str(), hit.body.as_str(), "hit must be byte-identical");
+        assert_eq!(
+            miss.body.as_str(),
+            hit.body.as_str(),
+            "hit must be byte-identical"
+        );
 
         // A clean program reports zero live findings and its loop.
         let clean = b"{\"asm\": \"li r1, 3\\nloop: addi r1, r1, -1\\nbne r1, r0, loop\\nhalt\"}";
@@ -1225,7 +1394,11 @@ mod tests {
     fn a_full_queue_surfaces_backpressure_as_503() {
         // Zero workers: pushed jobs never drain, so the queue depth is
         // fully deterministic.
-        let cfg = ServeConfig { workers: 0, queue_capacity: 1, ..ServeConfig::default() };
+        let cfg = ServeConfig {
+            workers: 0,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        };
         let addr: SocketAddr = "127.0.0.1:0".parse().expect("addr");
         let state = Arc::new(State::new(cfg, addr).expect("state"));
         // Occupy the single queue slot directly; pushing via handle_run
@@ -1234,7 +1407,10 @@ mod tests {
         let err = handle_run(&state, b"{\"bench\": \"go\"}").expect_err("503");
         assert_eq!(err.status, 503);
         let resp = Response::from_error(&err);
-        assert!(resp.extra.iter().any(|(n, v)| *n == "Retry-After" && v == "1"));
+        assert!(resp
+            .extra
+            .iter()
+            .any(|(n, v)| *n == "Retry-After" && v == "1"));
         // Draining takes precedence once shutdown begins.
         state.queue.drain();
         let err = handle_run(&state, b"{\"bench\": \"perl\"}").expect_err("draining");
@@ -1245,7 +1421,11 @@ mod tests {
     #[test]
     fn shedding_refuses_matrix_misses_but_serves_cached_hits() {
         // Capacity 4 with 2 queued jobs: exactly at the shed watermark.
-        let cfg = ServeConfig { workers: 0, queue_capacity: 4, ..ServeConfig::default() };
+        let cfg = ServeConfig {
+            workers: 0,
+            queue_capacity: 4,
+            ..ServeConfig::default()
+        };
         let addr: SocketAddr = "127.0.0.1:0".parse().expect("addr");
         let state = Arc::new(State::new(cfg, addr).expect("state"));
         assert!(state.queue.try_push(Box::new(|| {})).is_ok());
@@ -1263,7 +1443,9 @@ mod tests {
         // so the test can seed the cache directly.
         let source = "halt";
         let key = fnv1a64(&[b"analyze-v1", source.as_bytes()]);
-        state.cache.insert(key, Arc::new("{\"canned\": true}".to_string()));
+        state
+            .cache
+            .insert(key, Arc::new("{\"canned\": true}".to_string()));
         assert!(state.queue.try_push(Box::new(|| {})).is_ok());
         assert!(state.queue.try_push(Box::new(|| {})).is_ok());
         assert_eq!(state.shed(), ShedState::Saturated);
@@ -1278,7 +1460,11 @@ mod tests {
 
         // /healthz reports the state by name.
         let health = route(&state, &request("GET", "/healthz", b"")).expect("healthz");
-        assert!(health.body.contains("\"state\": \"saturated\""), "{}", health.body);
+        assert!(
+            health.body.contains("\"state\": \"saturated\""),
+            "{}",
+            health.body
+        );
     }
 
     #[test]
@@ -1294,8 +1480,16 @@ mod tests {
         let state = Arc::new(State::new(cfg, addr).expect("state"));
         let resp = handle_run(&state, b"{\"bench\": \"go\"}").expect("504 response");
         assert_eq!(resp.status, 504);
-        assert!(resp.body.contains("\"schema\": \"vpir-serve-error-v1\""), "{}", resp.body);
-        assert!(resp.body.contains("\"kind\": \"deadline\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("\"schema\": \"vpir-serve-error-v1\""),
+            "{}",
+            resp.body
+        );
+        assert!(
+            resp.body.contains("\"kind\": \"deadline\""),
+            "{}",
+            resp.body
+        );
         assert_eq!(state.metrics.deadline_exceeded.load(Ordering::Relaxed), 1);
         state.queue.clear();
     }
@@ -1307,7 +1501,11 @@ mod tests {
                       \"limit_insts\": 20000, \"inject_fault\": \"go/base:panic\"}";
         let resp = handle_matrix(&state, body).expect("matrix");
         assert_eq!(resp.status, 200);
-        assert!(resp.body.contains("\"schema\": \"vpir-serve-matrix-v1\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("\"schema\": \"vpir-serve-matrix-v1\""),
+            "{}",
+            resp.body
+        );
         assert!(resp.body.contains("\"kind\": \"panic\""), "{}", resp.body);
         assert!(resp.body.contains("\"config\": \"base\""), "{}", resp.body);
         assert!(state.metrics.matrix_cells_failed.load(Ordering::Relaxed) >= 1);
@@ -1317,12 +1515,22 @@ mod tests {
     #[test]
     fn matrix_requests_validate_inject_fault_against_the_vocabulary() {
         let (state, handles) = test_state(0);
-        let err = handle_matrix(&state, b"{\"bench\": \"go\", \"inject_fault\": \"go/warp\"}")
-            .expect_err("bad fault config");
+        let err = handle_matrix(
+            &state,
+            b"{\"bench\": \"go\", \"inject_fault\": \"go/warp\"}",
+        )
+        .expect_err("bad fault config");
         assert_eq!(err.status, 400);
-        assert!(err.message.contains("unknown inject_fault config"), "{}", err.message);
-        let err = handle_matrix(&state, b"{\"bench\": \"go\", \"inject_fault\": \"nope/base\"}")
-            .expect_err("bad fault bench");
+        assert!(
+            err.message.contains("unknown inject_fault config"),
+            "{}",
+            err.message
+        );
+        let err = handle_matrix(
+            &state,
+            b"{\"bench\": \"go\", \"inject_fault\": \"nope/base\"}",
+        )
+        .expect_err("bad fault bench");
         assert_eq!(err.status, 400);
         assert!(err.message.contains("unknown bench"), "{}", err.message);
         finish(&state, handles);
@@ -1351,11 +1559,17 @@ mod tests {
         let hit = handle_analyze(&state, body).expect("disk hit");
         assert_eq!(hit.status, 200);
         assert!(
-            hit.extra.iter().any(|(n, v)| *n == "X-Cache" && v == "hit-disk"),
+            hit.extra
+                .iter()
+                .any(|(n, v)| *n == "X-Cache" && v == "hit-disk"),
             "{:?}",
             hit.extra
         );
-        assert_eq!(hit.body.as_str(), miss.body.as_str(), "byte-identical across restart");
+        assert_eq!(
+            hit.body.as_str(),
+            miss.body.as_str(),
+            "byte-identical across restart"
+        );
         assert_eq!(state.metrics.cache_hits_disk.load(Ordering::Relaxed), 1);
         finish(&state, handles);
     }

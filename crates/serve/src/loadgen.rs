@@ -171,7 +171,9 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<ClientResp> {
     let mut x_cache = None;
     let mut keep_alive = true;
     for line in lines {
-        let Some((name, value)) = line.split_once(':') else { continue };
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         match name.as_str() {
@@ -192,8 +194,16 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<ClientResp> {
         }
         buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
     }
-    let body = buf.get(body_start..body_start + content_length).unwrap_or_default().to_vec();
-    Ok(ClientResp { status, x_cache, keep_alive, body })
+    let body = buf
+        .get(body_start..body_start + content_length)
+        .unwrap_or_default()
+        .to_vec();
+    Ok(ClientResp {
+        status,
+        x_cache,
+        keep_alive,
+        body,
+    })
 }
 
 fn post(path: &str, body: &str) -> Vec<u8> {
@@ -343,9 +353,12 @@ pub fn run(cfg: &LoadgenConfig) -> Result<String, String> {
             Err(_) => spawn_failures += 1,
         }
     }
-    let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX).max(1);
+    let elapsed_ms = u64::try_from(started.elapsed().as_millis())
+        .unwrap_or(u64::MAX)
+        .max(1);
     let requests = totals.requests.load(Ordering::Relaxed);
-    let hits = totals.hits_memory.load(Ordering::Relaxed) + totals.hits_disk.load(Ordering::Relaxed);
+    let hits =
+        totals.hits_memory.load(Ordering::Relaxed) + totals.hits_disk.load(Ordering::Relaxed);
     let looked_up = hits + totals.misses.load(Ordering::Relaxed);
     let report = JsonObj::new()
         .s("schema", "vpir-bench-serve-v1")
@@ -357,12 +370,24 @@ pub fn run(cfg: &LoadgenConfig) -> Result<String, String> {
         .u("responses_4xx", totals.client_4xx.load(Ordering::Relaxed))
         .u("responses_5xx", totals.server_5xx.load(Ordering::Relaxed))
         .u("shed_503", totals.shed_503.load(Ordering::Relaxed))
-        .u("io_errors", totals.io_errors.load(Ordering::Relaxed) + spawn_failures)
-        .u("identity_violations", totals.identity_violations.load(Ordering::Relaxed))
-        .u("cache_hits_memory", totals.hits_memory.load(Ordering::Relaxed))
+        .u(
+            "io_errors",
+            totals.io_errors.load(Ordering::Relaxed) + spawn_failures,
+        )
+        .u(
+            "identity_violations",
+            totals.identity_violations.load(Ordering::Relaxed),
+        )
+        .u(
+            "cache_hits_memory",
+            totals.hits_memory.load(Ordering::Relaxed),
+        )
         .u("cache_hits_disk", totals.hits_disk.load(Ordering::Relaxed))
         .u("cache_misses", totals.misses.load(Ordering::Relaxed))
-        .u("cache_hit_percent", (hits * 100).checked_div(looked_up).unwrap_or(0))
+        .u(
+            "cache_hit_percent",
+            (hits * 100).checked_div(looked_up).unwrap_or(0),
+        )
         .u("throughput_rps", requests.saturating_mul(1000) / elapsed_ms)
         .raw("latency", &latency.to_json())
         .finish();
@@ -386,8 +411,8 @@ pub fn gate(
     max_regression_pct: u64,
 ) -> Result<String, String> {
     let field = |doc: &str, what: &str| -> Result<(String, u64), String> {
-        let v = vpir_jsonlite::parse_json(doc)
-            .map_err(|e| format!("{what} is not valid JSON: {e}"))?;
+        let v =
+            vpir_jsonlite::parse_json(doc).map_err(|e| format!("{what} is not valid JSON: {e}"))?;
         match v.get("schema").and_then(|s| s.as_str()) {
             Some("vpir-bench-serve-v1") => {}
             other => {
@@ -439,7 +464,13 @@ mod tests {
 
     #[test]
     fn mix_parsing_round_trips_every_name() {
-        for name in ["hit-heavy", "miss-heavy", "matrix", "malformed", "slowloris"] {
+        for name in [
+            "hit-heavy",
+            "miss-heavy",
+            "matrix",
+            "malformed",
+            "slowloris",
+        ] {
             let mix = Mix::parse(name).expect(name);
             assert_eq!(mix.name(), name);
         }
@@ -454,7 +485,11 @@ mod tests {
         let c = request_for(Mix::MissHeavy, 1, 0);
         assert_ne!(a, b, "sequence varies the program");
         assert_ne!(a, c, "worker varies the program");
-        assert_eq!(a, request_for(Mix::MissHeavy, 0, 0), "same inputs, same request");
+        assert_eq!(
+            a,
+            request_for(Mix::MissHeavy, 0, 0),
+            "same inputs, same request"
+        );
         let text = String::from_utf8(a).expect("utf8");
         assert!(text.starts_with("POST /v1/run HTTP/1.1\r\n"), "{text}");
     }
@@ -500,7 +535,10 @@ mod tests {
             mix: Mix::HitHeavy,
         };
         let report = run(&cfg).expect("report");
-        assert!(report.contains("\"schema\": \"vpir-bench-serve-v1\""), "{report}");
+        assert!(
+            report.contains("\"schema\": \"vpir-bench-serve-v1\""),
+            "{report}"
+        );
         assert!(validate_json(&report, REPORT_KEYS).is_ok(), "{report}");
     }
 

@@ -187,36 +187,175 @@ impl Metrics {
     pub fn render(&self) -> String {
         let uptime = self.start.elapsed().as_secs_f64();
         let cycles = self.sim_cycles_total.load(Ordering::Relaxed);
-        let cycles_per_sec = if uptime > 0.0 { cycles as f64 / uptime } else { 0.0 };
+        let cycles_per_sec = if uptime > 0.0 {
+            cycles as f64 / uptime
+        } else {
+            0.0
+        };
         let mut out = String::with_capacity(8192);
         let series: &[(&str, &str, &str, u64)] = &[
-            ("vpir_connections_total", "counter", "Connections accepted by the listener.", self.connections_total.load(Ordering::Relaxed)),
-            ("vpir_requests_total", "counter", "Requests accepted by the HTTP layer.", self.requests_total.load(Ordering::Relaxed)),
-            ("vpir_responses_ok_total", "counter", "Responses with a 2xx status.", self.responses_ok.load(Ordering::Relaxed)),
-            ("vpir_responses_client_error_total", "counter", "Responses with a 4xx status.", self.responses_client_error.load(Ordering::Relaxed)),
-            ("vpir_responses_server_error_total", "counter", "Responses with a 5xx status other than 503.", self.responses_server_error.load(Ordering::Relaxed)),
-            ("vpir_responses_rejected_total", "counter", "503 responses (backpressure, shedding, or draining).", self.responses_rejected.load(Ordering::Relaxed)),
-            ("vpir_cache_hits_total", "counter", "Requests answered from the in-memory cache tier.", self.cache_hits.load(Ordering::Relaxed)),
-            ("vpir_cache_hits_disk_total", "counter", "Requests answered from the disk cache tier.", self.cache_hits_disk.load(Ordering::Relaxed)),
-            ("vpir_cache_misses_total", "counter", "Requests that had to simulate.", self.cache_misses.load(Ordering::Relaxed)),
-            ("vpir_cache_entries", "gauge", "Entries held by the in-memory cache tier.", self.cache_entries.load(Ordering::Relaxed)),
-            ("vpir_cache_mem_bytes", "gauge", "Body bytes held by the in-memory cache tier.", self.cache_mem_bytes.load(Ordering::Relaxed)),
-            ("vpir_cache_entries_evicted_total", "counter", "Entries evicted from the in-memory LRU.", self.cache_entries_evicted.load(Ordering::Relaxed)),
-            ("vpir_store_entries", "gauge", "Entries indexed by the disk store.", self.store_entries.load(Ordering::Relaxed)),
-            ("vpir_store_bytes", "gauge", "File bytes indexed by the disk store.", self.store_bytes.load(Ordering::Relaxed)),
-            ("vpir_store_evictions_total", "counter", "Disk entries evicted for the byte budget.", self.store_evictions.load(Ordering::Relaxed)),
-            ("vpir_store_quarantined_total", "counter", "Disk entries quarantined by a failed frame check.", self.store_quarantined.load(Ordering::Relaxed)),
-            ("vpir_queue_depth", "gauge", "Jobs waiting in the bounded queue.", self.queue_depth.load(Ordering::Relaxed)),
-            ("vpir_in_flight_jobs", "gauge", "Jobs currently executing on a worker.", self.in_flight_jobs.load(Ordering::Relaxed)),
-            ("vpir_shed_state", "gauge", "Load shedding state: 0 healthy, 1 shedding, 2 saturated.", self.shed_state.load(Ordering::Relaxed)),
-            ("vpir_requests_shed_total", "counter", "Expensive requests refused while shedding.", self.requests_shed.load(Ordering::Relaxed)),
-            ("vpir_deadline_exceeded_total", "counter", "Requests answered 504 past the simulation deadline.", self.deadline_exceeded.load(Ordering::Relaxed)),
-            ("vpir_slow_client_timeouts_total", "counter", "Connections answered 408 for stalling mid-request.", self.slow_client_timeouts.load(Ordering::Relaxed)),
-            ("vpir_runs_completed_total", "counter", "Simulations that ran to completion.", self.runs_completed.load(Ordering::Relaxed)),
-            ("vpir_runs_sim_error_total", "counter", "Simulations that ended in a structured SimError.", self.runs_sim_error.load(Ordering::Relaxed)),
-            ("vpir_runs_panicked_total", "counter", "Jobs whose execution panicked (contained).", self.runs_panicked.load(Ordering::Relaxed)),
-            ("vpir_matrix_cells_failed_total", "counter", "Matrix cells that degraded to failure rows.", self.matrix_cells_failed.load(Ordering::Relaxed)),
-            ("vpir_sim_cycles_total", "counter", "Cumulative simulated cycles across all jobs.", cycles),
+            (
+                "vpir_connections_total",
+                "counter",
+                "Connections accepted by the listener.",
+                self.connections_total.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_requests_total",
+                "counter",
+                "Requests accepted by the HTTP layer.",
+                self.requests_total.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_responses_ok_total",
+                "counter",
+                "Responses with a 2xx status.",
+                self.responses_ok.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_responses_client_error_total",
+                "counter",
+                "Responses with a 4xx status.",
+                self.responses_client_error.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_responses_server_error_total",
+                "counter",
+                "Responses with a 5xx status other than 503.",
+                self.responses_server_error.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_responses_rejected_total",
+                "counter",
+                "503 responses (backpressure, shedding, or draining).",
+                self.responses_rejected.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_cache_hits_total",
+                "counter",
+                "Requests answered from the in-memory cache tier.",
+                self.cache_hits.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_cache_hits_disk_total",
+                "counter",
+                "Requests answered from the disk cache tier.",
+                self.cache_hits_disk.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_cache_misses_total",
+                "counter",
+                "Requests that had to simulate.",
+                self.cache_misses.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_cache_entries",
+                "gauge",
+                "Entries held by the in-memory cache tier.",
+                self.cache_entries.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_cache_mem_bytes",
+                "gauge",
+                "Body bytes held by the in-memory cache tier.",
+                self.cache_mem_bytes.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_cache_entries_evicted_total",
+                "counter",
+                "Entries evicted from the in-memory LRU.",
+                self.cache_entries_evicted.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_store_entries",
+                "gauge",
+                "Entries indexed by the disk store.",
+                self.store_entries.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_store_bytes",
+                "gauge",
+                "File bytes indexed by the disk store.",
+                self.store_bytes.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_store_evictions_total",
+                "counter",
+                "Disk entries evicted for the byte budget.",
+                self.store_evictions.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_store_quarantined_total",
+                "counter",
+                "Disk entries quarantined by a failed frame check.",
+                self.store_quarantined.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_queue_depth",
+                "gauge",
+                "Jobs waiting in the bounded queue.",
+                self.queue_depth.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_in_flight_jobs",
+                "gauge",
+                "Jobs currently executing on a worker.",
+                self.in_flight_jobs.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_shed_state",
+                "gauge",
+                "Load shedding state: 0 healthy, 1 shedding, 2 saturated.",
+                self.shed_state.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_requests_shed_total",
+                "counter",
+                "Expensive requests refused while shedding.",
+                self.requests_shed.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_deadline_exceeded_total",
+                "counter",
+                "Requests answered 504 past the simulation deadline.",
+                self.deadline_exceeded.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_slow_client_timeouts_total",
+                "counter",
+                "Connections answered 408 for stalling mid-request.",
+                self.slow_client_timeouts.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_runs_completed_total",
+                "counter",
+                "Simulations that ran to completion.",
+                self.runs_completed.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_runs_sim_error_total",
+                "counter",
+                "Simulations that ended in a structured SimError.",
+                self.runs_sim_error.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_runs_panicked_total",
+                "counter",
+                "Jobs whose execution panicked (contained).",
+                self.runs_panicked.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_matrix_cells_failed_total",
+                "counter",
+                "Matrix cells that degraded to failure rows.",
+                self.matrix_cells_failed.load(Ordering::Relaxed),
+            ),
+            (
+                "vpir_sim_cycles_total",
+                "counter",
+                "Cumulative simulated cycles across all jobs.",
+                cycles,
+            ),
         ];
         for (name, kind, help, value) in series {
             push_series(&mut out, name, kind, help, &value.to_string());
@@ -235,7 +374,11 @@ impl Metrics {
                 ("p999_micros", histo.p999()),
             ];
             for (suffix, value) in quantiles {
-                let kind = if *suffix == "count" { "counter" } else { "gauge" };
+                let kind = if *suffix == "count" {
+                    "counter"
+                } else {
+                    "gauge"
+                };
                 push_series(
                     &mut out,
                     &format!("vpir_latency_{name}_{suffix}"),
@@ -304,16 +447,25 @@ mod tests {
         assert!(text.contains("vpir_requests_total 3"), "{text}");
         assert!(text.contains("vpir_cache_hits_total 1"), "{text}");
         assert!(text.contains("vpir_responses_ok_total 1"), "{text}");
-        assert!(text.contains("vpir_responses_client_error_total 1"), "{text}");
+        assert!(
+            text.contains("vpir_responses_client_error_total 1"),
+            "{text}"
+        );
         assert!(text.contains("vpir_responses_rejected_total 1"), "{text}");
-        assert!(text.contains("vpir_responses_server_error_total 1"), "{text}");
+        assert!(
+            text.contains("vpir_responses_server_error_total 1"),
+            "{text}"
+        );
         assert!(text.contains("# TYPE vpir_queue_depth gauge"), "{text}");
         assert!(text.contains("# TYPE vpir_shed_state gauge"), "{text}");
         assert!(text.contains("vpir_store_quarantined_total 0"), "{text}");
         assert!(text.contains("vpir_latency_run_count 1"), "{text}");
         assert!(text.contains("vpir_latency_run_p50_micros 511"), "{text}");
         assert!(text.contains("vpir_latency_other_p99_micros 7"), "{text}");
-        assert!(text.contains("# HELP vpir_sim_cycles_per_second "), "{text}");
+        assert!(
+            text.contains("# HELP vpir_sim_cycles_per_second "),
+            "{text}"
+        );
         // One HELP and one TYPE line per series, every series present:
         // 27 scalars + 4 endpoints x 4 histogram series + 2 derived.
         assert_eq!(text.matches("# HELP ").count(), 45);

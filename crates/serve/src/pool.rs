@@ -74,7 +74,11 @@ pub struct JobQueue {
 impl JobQueue {
     /// An empty queue that holds at most `capacity` pending jobs.
     pub fn new(capacity: usize) -> JobQueue {
-        JobQueue { inner: Mutex::new(Inner::default()), ready: Condvar::new(), capacity }
+        JobQueue {
+            inner: Mutex::new(Inner::default()),
+            ready: Condvar::new(),
+            capacity,
+        }
     }
 
     /// Enqueues `job`, returning the new queue depth, or refuses it.
@@ -103,10 +107,7 @@ impl JobQueue {
             if inner.draining {
                 return None;
             }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
+            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -160,7 +161,9 @@ pub fn spawn_workers(n: usize, queue: Arc<JobQueue>, metrics: Arc<Metrics>) -> V
                 .name(format!("vpir-serve-worker-{i}"))
                 .spawn(move || {
                     while let Some(job) = queue.pop() {
-                        metrics.queue_depth.store(queue.depth() as u64, Ordering::Relaxed);
+                        metrics
+                            .queue_depth
+                            .store(queue.depth() as u64, Ordering::Relaxed);
                         metrics.in_flight_jobs.fetch_add(1, Ordering::Relaxed);
                         // Safety net: jobs carry their own catch_unwind
                         // around the simulation so they can report the
@@ -198,7 +201,10 @@ mod tests {
         assert_eq!(queue.try_push(Box::new(|| {})).err(), Some(PushError::Full));
         queue.drain();
         // Draining: queued jobs still pop, new pushes are refused.
-        assert_eq!(queue.try_push(Box::new(|| {})).err(), Some(PushError::Draining));
+        assert_eq!(
+            queue.try_push(Box::new(|| {})).err(),
+            Some(PushError::Draining)
+        );
         assert!(queue.pop().is_some());
         assert!(queue.pop().is_some());
         assert!(queue.pop().is_none());

@@ -160,7 +160,9 @@ impl DiskStore {
                         seq += 1;
                     }
                     inner.recency.insert(seq, header.key);
-                    inner.entries.insert(header.key, DiskMeta { seq, file_bytes });
+                    inner
+                        .entries
+                        .insert(header.key, DiskMeta { seq, file_bytes });
                     inner.total_bytes += file_bytes;
                     inner.next_seq = inner.next_seq.max(seq + 1);
                 }
@@ -170,7 +172,11 @@ impl DiskStore {
                 }
             }
         }
-        let store = DiskStore { dir: dir.to_path_buf(), max_bytes, inner: Mutex::new(inner) };
+        let store = DiskStore {
+            dir: dir.to_path_buf(),
+            max_bytes,
+            inner: Mutex::new(inner),
+        };
         // An older run may have written more than the current budget.
         store.with_inner(|inner, dir| evict_to_fit(inner, dir, max_bytes, None));
         Ok(store)
@@ -262,7 +268,9 @@ impl DiskStore {
 
 /// Refreshes `key`'s recency to now.
 fn touch(inner: &mut StoreInner, key: u64) {
-    let Some(meta) = inner.entries.get_mut(&key) else { return };
+    let Some(meta) = inner.entries.get_mut(&key) else {
+        return;
+    };
     let old_seq = meta.seq;
     let seq = inner.next_seq;
     inner.next_seq += 1;
@@ -282,7 +290,9 @@ fn remove_from_index(inner: &mut StoreInner, key: u64) {
 /// `keep_seq` protects the entry just inserted from evicting itself.
 fn evict_to_fit(inner: &mut StoreInner, dir: &Path, max_bytes: u64, keep_seq: Option<u64>) {
     while inner.total_bytes > max_bytes {
-        let Some((&seq, &key)) = inner.recency.iter().next() else { break };
+        let Some((&seq, &key)) = inner.recency.iter().next() else {
+            break;
+        };
         if Some(seq) == keep_seq {
             break;
         }
@@ -345,7 +355,9 @@ fn header_consistent(header: &Header, name: &str, path: &Path) -> bool {
     let named_key = name
         .strip_suffix(".vpc")
         .and_then(|stem| u64::from_str_radix(stem, 16).ok());
-    let Ok(meta) = fs::metadata(path) else { return false };
+    let Ok(meta) = fs::metadata(path) else {
+        return false;
+    };
     named_key == Some(header.key) && meta.len() == HEADER_BYTES + header.body_len
 }
 
@@ -401,7 +413,9 @@ fn quarantine_file(path: &Path) {
 fn apply_fault(path: &Path, fault: StoreFault, body_len: usize) {
     match fault {
         StoreFault::CorruptNext => {
-            let Ok(mut bytes) = fs::read(path) else { return };
+            let Ok(mut bytes) = fs::read(path) else {
+                return;
+            };
             let at = HEADER_BYTES as usize + body_len / 2;
             if let Some(byte) = bytes.get_mut(at) {
                 *byte ^= 0x40;
@@ -463,7 +477,11 @@ mod tests {
         drop(store);
         let store = DiskStore::open(&dir, 1 << 20, None).expect("reopen");
         assert_eq!(store.load(3), None);
-        assert_eq!(store.stats().quarantined, 1, "fresh instance counts its own quarantine");
+        assert_eq!(
+            store.stats().quarantined,
+            1,
+            "fresh instance counts its own quarantine"
+        );
         assert!(
             dir.read_dir()
                 .expect("dir")
@@ -516,7 +534,10 @@ mod tests {
         drop(store);
         let store = DiskStore::open(&dir, 60, None).expect("reopen smaller");
         let stats = store.stats();
-        assert_eq!(stats.entries, 1, "oldest entry evicted to fit the new budget");
+        assert_eq!(
+            stats.entries, 1,
+            "oldest entry evicted to fit the new budget"
+        );
         assert!(store.load(2).is_some(), "newest entry survives");
     }
 }

@@ -15,7 +15,9 @@ use vpir_serve::loadgen::{self, LoadgenConfig, Mix};
 use vpir_serve::{ServeConfig, Server, StoreFault};
 
 fn scratch_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve-chaos").join(name);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("serve-chaos")
+        .join(name);
     if dir.exists() {
         std::fs::remove_dir_all(&dir).expect("clear scratch dir");
     }
@@ -60,7 +62,9 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
     stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes())
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
         .expect("write");
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read");
@@ -106,7 +110,10 @@ fn a_restarted_server_serves_prior_results_from_disk_byte_identically() {
     let (status, head, disk_body) = post(second.addr(), "/v1/run", RUN_REQUEST);
     assert_eq!(status, 200, "{disk_body}");
     assert!(head.contains("X-Cache: hit-disk"), "{head}");
-    assert_eq!(miss_body, disk_body, "disk tier must replay the exact bytes");
+    assert_eq!(
+        miss_body, disk_body,
+        "disk tier must replay the exact bytes"
+    );
 
     // The disk hit promoted the entry into memory: the next request is
     // a plain memory hit.
@@ -116,7 +123,10 @@ fn a_restarted_server_serves_prior_results_from_disk_byte_identically() {
     assert_eq!(miss_body, mem_body);
 
     let (_, _, metrics) = get(second.addr(), "/metrics");
-    assert!(metrics.contains("vpir_cache_hits_disk_total 1"), "{metrics}");
+    assert!(
+        metrics.contains("vpir_cache_hits_disk_total 1"),
+        "{metrics}"
+    );
     shutdown(second);
 }
 
@@ -140,11 +150,20 @@ fn a_corrupted_disk_entry_is_quarantined_not_served() {
     let clean = Server::start(durable_config(&dir)).expect("start clean");
     let (status, head, body) = post(clean.addr(), "/v1/run", RUN_REQUEST);
     assert_eq!(status, 200, "{body}");
-    assert!(head.contains("X-Cache: miss"), "corruption must degrade to a miss: {head}");
-    assert_eq!(body, original_body, "the recomputed answer is still deterministic");
+    assert!(
+        head.contains("X-Cache: miss"),
+        "corruption must degrade to a miss: {head}"
+    );
+    assert_eq!(
+        body, original_body,
+        "the recomputed answer is still deterministic"
+    );
 
     let (_, _, metrics) = get(clean.addr(), "/metrics");
-    assert!(metrics.contains("vpir_store_quarantined_total 1"), "{metrics}");
+    assert!(
+        metrics.contains("vpir_store_quarantined_total 1"),
+        "{metrics}"
+    );
     shutdown(clean);
 
     // The quarantined frame is preserved on disk for postmortems.
@@ -188,7 +207,10 @@ fn loadgen_drives_a_live_server_and_reports_zero_identity_violations() {
         mix: Mix::HitHeavy,
     };
     let report = loadgen::run(&cfg).expect("loadgen run");
-    assert!(report.contains("\"schema\": \"vpir-bench-serve-v1\""), "{report}");
+    assert!(
+        report.contains("\"schema\": \"vpir-bench-serve-v1\""),
+        "{report}"
+    );
     assert!(report.contains("\"identity_violations\": 0"), "{report}");
     assert!(report.contains("\"io_errors\": 0"), "{report}");
     assert!(report.contains("\"mix\": \"hit-heavy\""), "{report}");
@@ -201,7 +223,10 @@ fn loadgen_drives_a_live_server_and_reports_zero_identity_violations() {
         .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
         .and_then(|digits| digits.parse().ok())
         .expect("cache_misses in report");
-    assert!((1..=4).contains(&misses), "at most one racing miss per connection: {report}");
+    assert!(
+        (1..=4).contains(&misses),
+        "at most one racing miss per connection: {report}"
+    );
     assert!(!report.contains("\"cache_hits_memory\": 0"), "{report}");
 
     // The malformed mix must not wedge the server either.

@@ -103,26 +103,41 @@ fn run_roundtrip_cache_hit_metrics_and_graceful_shutdown() {
 
     let (status, _, health) = get(addr, "/healthz");
     assert_eq!(status, 200);
-    assert_eq!(health, "{\"ok\": true, \"draining\": false, \"state\": \"healthy\"}");
+    assert_eq!(
+        health,
+        "{\"ok\": true, \"draining\": false, \"state\": \"healthy\"}"
+    );
 
     let request = "{\"bench\": \"compress\", \"max_cycles\": 50000}";
     let (status, miss_head, miss_body) = post(addr, "/v1/run", request);
     assert_eq!(status, 200, "miss body: {miss_body}");
     assert!(miss_head.contains("X-Cache: miss"), "{miss_head}");
-    assert!(miss_body.contains("\"schema\": \"vpir-serve-run-v1\""), "{miss_body}");
+    assert!(
+        miss_body.contains("\"schema\": \"vpir-serve-run-v1\""),
+        "{miss_body}"
+    );
 
     let (status, hit_head, hit_body) = post(addr, "/v1/run", request);
     assert_eq!(status, 200);
     assert!(hit_head.contains("X-Cache: hit"), "{hit_head}");
-    assert_eq!(miss_body, hit_body, "cache hit must be byte-identical to the miss");
+    assert_eq!(
+        miss_body, hit_body,
+        "cache hit must be byte-identical to the miss"
+    );
 
     let (status, head, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    assert!(head.contains("Content-Type: text/plain; version=0.0.4"), "{head}");
+    assert!(
+        head.contains("Content-Type: text/plain; version=0.0.4"),
+        "{head}"
+    );
     assert!(metrics.contains("vpir_cache_hits_total 1"), "{metrics}");
     assert!(metrics.contains("vpir_cache_misses_total 1"), "{metrics}");
     assert!(metrics.contains("vpir_runs_completed_total 1"), "{metrics}");
-    assert!(metrics.contains("# TYPE vpir_sim_cycles_total counter"), "{metrics}");
+    assert!(
+        metrics.contains("# TYPE vpir_sim_cycles_total counter"),
+        "{metrics}"
+    );
     assert!(metrics.contains("vpir_shed_state 0"), "{metrics}");
     assert!(metrics.contains("vpir_latency_run_count 2"), "{metrics}");
 
@@ -178,10 +193,16 @@ fn a_keep_alive_connection_serves_sequential_and_pipelined_requests() {
         .expect("write pipelined");
     let (status, _, body) = read_one_response(&mut stream, &mut carry);
     assert_eq!(status, 200);
-    assert!(body.contains("\"ok\": true"), "first answer is healthz: {body}");
+    assert!(
+        body.contains("\"ok\": true"),
+        "first answer is healthz: {body}"
+    );
     let (status, _, body) = read_one_response(&mut stream, &mut carry);
     assert_eq!(status, 200);
-    assert!(body.contains("vpir_requests_total"), "second answer is metrics: {body}");
+    assert!(
+        body.contains("vpir_requests_total"),
+        "second answer is metrics: {body}"
+    );
 
     // One connection, five requests.
     assert!(body.contains("vpir_connections_total 1"), "{body}");
@@ -195,7 +216,10 @@ fn a_keep_alive_connection_serves_sequential_and_pipelined_requests() {
     assert!(head.contains("Connection: close"), "{head}");
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).expect("drained");
-    assert!(rest.is_empty(), "server closed cleanly after Connection: close");
+    assert!(
+        rest.is_empty(),
+        "server closed cleanly after Connection: close"
+    );
 
     shutdown(addr);
     server.join();
@@ -216,8 +240,10 @@ fn a_slowloris_client_gets_408_not_a_wedged_worker() {
     // 408 within the read deadline and close — and stay fully
     // responsive to other clients afterwards.
     let mut slow = TcpStream::connect(addr).expect("connect");
-    slow.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    slow.write_all(b"POST /v1/run HTTP/1.1\r\nContent-Le").expect("partial write");
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    slow.write_all(b"POST /v1/run HTTP/1.1\r\nContent-Le")
+        .expect("partial write");
     let mut response = Vec::new();
     slow.read_to_end(&mut response).expect("read");
     let text = String::from_utf8(response).expect("utf8");
@@ -227,7 +253,8 @@ fn a_slowloris_client_gets_408_not_a_wedged_worker() {
 
     // A stall mid-body is also bounded.
     let mut slow = TcpStream::connect(addr).expect("connect");
-    slow.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     slow.write_all(b"POST /v1/run HTTP/1.1\r\nContent-Length: 400\r\n\r\n{\"bench\"")
         .expect("partial body");
     let mut response = Vec::new();
@@ -238,12 +265,16 @@ fn a_slowloris_client_gets_408_not_a_wedged_worker() {
     // The worker pool was never involved; the server still answers.
     let (status, _, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    assert!(metrics.contains("vpir_slow_client_timeouts_total 2"), "{metrics}");
+    assert!(
+        metrics.contains("vpir_slow_client_timeouts_total 2"),
+        "{metrics}"
+    );
 
     // An idle connection that never sends anything is closed quietly
     // after the idle timeout, with no 408 and no error response.
     let mut idle = TcpStream::connect(addr).expect("connect");
-    idle.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     let mut buf = Vec::new();
     idle.read_to_end(&mut buf).expect("idle close");
     assert!(buf.is_empty(), "idle close carries no response bytes");
@@ -271,7 +302,10 @@ fn worker_count_does_not_change_a_single_byte() {
         let (s4, _, body4) = post(server4.addr(), "/v1/run", request);
         assert_eq!(s1, 200, "{request}: {body1}");
         assert_eq!(s4, 200, "{request}: {body4}");
-        assert_eq!(body1, body4, "workers=1 and workers=4 must agree on {request}");
+        assert_eq!(
+            body1, body4,
+            "workers=1 and workers=4 must agree on {request}"
+        );
     }
 
     shutdown(server1.addr());
@@ -326,7 +360,11 @@ fn a_full_queue_answers_503_with_retry_after() {
     // blocks waiting for a worker that never comes, so issue it from a
     // helper thread.
     let blocked = std::thread::spawn(move || {
-        post(addr, "/v1/run", "{\"bench\": \"go\", \"max_cycles\": 30000}")
+        post(
+            addr,
+            "/v1/run",
+            "{\"bench\": \"go\", \"max_cycles\": 30000}",
+        )
     });
     // Wait until the job is actually queued.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -335,12 +373,18 @@ fn a_full_queue_answers_503_with_retry_after() {
         if metrics.contains("vpir_queue_depth 1") {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "job never queued:\n{metrics}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job never queued:\n{metrics}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let (status, head, body) =
-        post(addr, "/v1/run", "{\"bench\": \"perl\", \"max_cycles\": 30000}");
+    let (status, head, body) = post(
+        addr,
+        "/v1/run",
+        "{\"bench\": \"perl\", \"max_cycles\": 30000}",
+    );
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("Retry-After: 1"), "{head}");
     // With the queue at capacity the exported state is saturated.

@@ -226,12 +226,14 @@ impl CountingAlloc {
 
     /// Deallocations observed so far.
     pub fn deallocations(&self) -> u64 {
-        self.deallocations.load(core::sync::atomic::Ordering::Relaxed)
+        self.deallocations
+            .load(core::sync::atomic::Ordering::Relaxed)
     }
 
     /// Total bytes requested across all counted allocations.
     pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes.load(core::sync::atomic::Ordering::Relaxed)
+        self.allocated_bytes
+            .load(core::sync::atomic::Ordering::Relaxed)
     }
 }
 

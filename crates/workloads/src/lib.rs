@@ -65,7 +65,9 @@ impl Scale {
 
     /// A custom scale.
     pub fn of(outer: u32) -> Scale {
-        Scale { outer: outer.max(1) }
+        Scale {
+            outer: outer.max(1),
+        }
     }
 }
 

@@ -135,7 +135,7 @@ pub fn m88ksim(scale: Scale) -> (String, Data) {
     // stage sees at most four distinct virtual instructions — within the
     // RB's per-set capacity, like m88ksim's own hot dispatch loop.
     let vprog: Vec<u32> = vec![
-        vop(1, 0, 60, 0),  // v0 = 60 (loop counter)
+        vop(1, 0, 60, 0), // v0 = 60 (loop counter)
         // loop body (index 1):
         vop(2, 1, 1, 2),   // v1 += v2
         vop(4, 4, 1, 2),   // v4 = v1 & v2
@@ -293,7 +293,9 @@ pub fn ijpeg(scale: Scale) -> (String, Data) {
     let mut rng = Rng::new(0x134E6);
     let blocks = 24usize;
     // Pixels quantised to 16 levels: plenty of repeated values.
-    let image: Vec<u8> = (0..blocks * 64).map(|_| rng.gen_range(0..16u8) * 16).collect();
+    let image: Vec<u8> = (0..blocks * 64)
+        .map(|_| rng.gen_range(0..16u8) * 16)
+        .collect();
     let passes = 10 * scale.outer;
     let quant: Vec<u8> = [181u32, 160, 140, 181, 120, 181, 100, 90]
         .iter()
@@ -361,10 +363,38 @@ row:    # quantisation-table entry for this row (8 hot addresses)
 pub fn perl(scale: Scale) -> (String, Data) {
     let mut rng = Rng::new(0x9E41);
     let vocab = [
-        "my", "sub", "local", "return", "print", "while", "foreach", "scalar", "push",
-        "shift", "defined", "length", "keys", "values", "chomp", "split", "unless",
-        "else", "elsif", "last", "next", "redo", "bless", "ref", "wantarray", "join",
-        "map", "grep", "sort", "reverse", "substr", "index",
+        "my",
+        "sub",
+        "local",
+        "return",
+        "print",
+        "while",
+        "foreach",
+        "scalar",
+        "push",
+        "shift",
+        "defined",
+        "length",
+        "keys",
+        "values",
+        "chomp",
+        "split",
+        "unless",
+        "else",
+        "elsif",
+        "last",
+        "next",
+        "redo",
+        "bless",
+        "ref",
+        "wantarray",
+        "join",
+        "map",
+        "grep",
+        "sort",
+        "reverse",
+        "substr",
+        "index",
     ];
     // Interned vocabulary: each word padded to 8 bytes at VOCAB + 8*i.
     let mut words = Vec::new();
@@ -462,7 +492,11 @@ pub fn vortex(scale: Scale) -> (String, Data) {
     let mut leaves = Vec::new();
     for i in 0..nleaves {
         let id = i as u32 + 1;
-        let kind: u32 = if rng.gen_range(0..100) < 80 { 0 } else { 1 + rng.gen_range(0..2u32) };
+        let kind: u32 = if rng.gen_range(0..100) < 80 {
+            0
+        } else {
+            1 + rng.gen_range(0..2u32)
+        };
         let a: u32 = rng.gen_range(0..64);
         let b: u32 = rng.gen_range(0..64);
         for w in [id, kind, a, b, 0, 0] {
@@ -562,7 +596,11 @@ pub fn gcc(scale: Scale) -> (String, Data) {
             _ => 3,
         };
         let l = build(rng, nodes, depth - 1);
-        let r = if kind == 3 { 0 } else { build(rng, nodes, depth - 1) };
+        let r = if kind == 3 {
+            0
+        } else {
+            build(rng, nodes, depth - 1)
+        };
         nodes.push([kind, l, r, 0]);
         (nodes.len() - 1) as u32
     }

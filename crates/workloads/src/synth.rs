@@ -259,8 +259,8 @@ impl Gen<'_> {
             };
             self.emit(&format!("{op} {d}, {a}, {imm}"));
         } else {
-            let op = ["add", "sub", "and", "or", "xor", "nor", "slt", "sltu"]
-                [self.rng.gen_range(0..8)];
+            let op =
+                ["add", "sub", "and", "or", "xor", "nor", "slt", "sltu"][self.rng.gen_range(0..8)];
             self.emit(&format!("{op} {d}, {a}, {b}"));
         }
     }
@@ -317,7 +317,11 @@ impl Gen<'_> {
                 let op = ["c.eq.f", "c.lt.f", "c.le.f"][self.rng.gen_range(0..3)];
                 self.emit(&format!("{op} {a}, {b}"));
                 let skip = self.fresh("fskip");
-                let br = if self.rng.gen_bool(0.5) { "bc1t" } else { "bc1f" };
+                let br = if self.rng.gen_bool(0.5) {
+                    "bc1t"
+                } else {
+                    "bc1f"
+                };
                 self.emit(&format!("{br} {skip}"));
                 self.alu_op();
                 self.emit_label(&skip);

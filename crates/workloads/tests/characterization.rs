@@ -34,7 +34,13 @@ fn go_has_hard_branches() {
 fn m88ksim_is_the_reuse_leader() {
     let m88 = ir_stats(Bench::M88ksim).reuse_result_rate();
     assert!(m88 > 45.0, "interpreter redundancy: {m88:.1}%");
-    for other in [Bench::Go, Bench::Ijpeg, Bench::Perl, Bench::Gcc, Bench::Compress] {
+    for other in [
+        Bench::Go,
+        Bench::Ijpeg,
+        Bench::Perl,
+        Bench::Gcc,
+        Bench::Compress,
+    ] {
         let r = ir_stats(other).reuse_result_rate();
         assert!(
             m88 > r,
@@ -86,7 +92,10 @@ fn compress_has_derivable_results() {
     let prog = Bench::Compress.program(Scale::of(2));
     let study = analyze(&prog, 400_000, LimitConfig::default());
     let (_, _, derivable, _) = study.classification_pct();
-    assert!(derivable > 2.0, "LZW code counter must be derivable: {derivable:.1}%");
+    assert!(
+        derivable > 2.0,
+        "LZW code counter must be derivable: {derivable:.1}%"
+    );
 }
 
 #[test]

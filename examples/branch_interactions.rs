@@ -28,10 +28,7 @@ fn main() {
     );
 
     println!("predictor  resolution  speedup  squashes  spurious  res-latency");
-    for (name, vp) in [
-        ("magic", VpConfig::magic()),
-        ("lvp  ", VpConfig::lvp()),
-    ] {
+    for (name, vp) in [("magic", VpConfig::magic()), ("lvp  ", VpConfig::lvp())] {
         for br in [BranchResolution::Sb, BranchResolution::Nsb] {
             let cfg = CoreConfig::with_vp(vp.with_branches(br));
             let mut sim = Simulator::new(&program, cfg);

@@ -38,7 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sim.run(vpir::core::RunLimits::insts(150));
         sim.enable_trace(8);
         sim.run(RunLimits::insts(sim.stats().committed + 24));
-        println!("=== {name}\n{}", sim.trace().expect("tracing enabled").render());
+        println!(
+            "=== {name}\n{}",
+            sim.trace().expect("tracing enabled").render()
+        );
     }
     Ok(())
 }

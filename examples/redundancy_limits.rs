@@ -29,5 +29,8 @@ fn main() {
         );
         bars.bar(bench.name(), study.reusable_pct());
     }
-    println!("\nreusable fraction of total redundancy:\n{}", bars.render());
+    println!(
+        "\nreusable fraction of total redundancy:\n{}",
+        bars.render()
+    );
 }

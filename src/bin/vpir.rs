@@ -67,17 +67,17 @@ use std::fs;
 use std::process::ExitCode;
 
 use vpir::analyze;
-use vpir::core::{
-    BranchResolution, CoreConfig, IrConfig, Reexecution, RtbConfig, RunLimits, Simulator,
-    Validation, VpConfig, VpKind,
-};
-use vpir::mechanism::registry;
 use vpir::bench::matrix::{config_labels, InjectFault, MatrixConfig, RunOptions};
 use vpir::bench::perf::{
     measure_cycle_rate, run_matrix_timed_opts, validate_json, CYCLES_REQUIRED_KEYS, REQUIRED_KEYS,
 };
+use vpir::core::{
+    BranchResolution, CoreConfig, IrConfig, Reexecution, RtbConfig, RunLimits, Simulator,
+    Validation, VpConfig, VpKind,
+};
 use vpir::isa::{asm, image, Program};
 use vpir::isa_analyze::{analyze_program, cross_validate, REQUIRED_KEYS as ANALYZE_KEYS};
+use vpir::mechanism::registry;
 use vpir::redundancy::{analyze, analyze_per_pc, LimitConfig};
 use vpir::serve::loadgen::{self, LoadgenConfig, Mix};
 use vpir::serve::{ServeConfig, Server, StoreFault};
@@ -136,7 +136,10 @@ fn parse_machine(spec: &str) -> Result<CoreConfig, String> {
             }))
         }
         "hybrid" => {
-            return Ok(CoreConfig::with_hybrid(VpConfig::magic(), IrConfig::table1()))
+            return Ok(CoreConfig::with_hybrid(
+                VpConfig::magic(),
+                IrConfig::table1(),
+            ))
         }
         "rtb" => return Ok(CoreConfig::with_rtb(RtbConfig::t8())),
         _ => {}
@@ -261,8 +264,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_asm(args: &[String]) -> Result<(), String> {
-    let (Some(input), Some(flag), Some(output)) = (args.first(), args.get(1), args.get(2))
-    else {
+    let (Some(input), Some(flag), Some(output)) = (args.first(), args.get(1), args.get(2)) else {
         return Err("asm: expected <prog.s> -o <prog.vpir>".into());
     };
     if flag != "-o" {
@@ -439,7 +441,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 .as_ref()
                 .map(|p| format!(" (dump: {})", p.display()))
                 .unwrap_or_default();
-            eprintln!("failed cell {}/{}: [{}] {}{}", f.bench, f.config, f.kind, f.error, dump);
+            eprintln!(
+                "failed cell {}/{}: [{}] {}{}",
+                f.bench, f.config, f.kind, f.error, dump
+            );
         }
         return Err(format!(
             "{} of {} matrix cells failed",
@@ -533,7 +538,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--inject-fault" => {
                 i += 1;
                 let spec = args.get(i).ok_or("--inject-fault needs a fault name")?;
-                cfg.inject_fault = Some(StoreFault::parse(spec).map_err(|e| format!("serve: {e}"))?);
+                cfg.inject_fault =
+                    Some(StoreFault::parse(spec).map_err(|e| format!("serve: {e}"))?);
             }
             other => return Err(format!("serve: unknown option `{other}`")),
         }
@@ -740,7 +746,13 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
                 xv.recall()
             );
             for f in &analysis.findings {
-                println!("  {}: {}({}): {}", f.location(), f.rule.id(), f.rule.name(), f.message);
+                println!(
+                    "  {}: {}({}): {}",
+                    f.location(),
+                    f.rule.id(),
+                    f.rule.name(),
+                    f.message
+                );
             }
             for pc in &xv.false_positive_pcs {
                 println!("  false positive: {pc:#x} statically invariant but never repeated");

@@ -40,15 +40,15 @@
 pub use vpir_analyze as analyze;
 pub use vpir_bench as bench;
 pub use vpir_branch as branch;
-pub use vpir_jsonlite as jsonlite;
-pub use vpir_serve as serve;
 pub use vpir_core as core;
-pub use vpir_mechanism as mechanism;
 pub use vpir_isa as isa;
 pub use vpir_isa_analyze as isa_analyze;
+pub use vpir_jsonlite as jsonlite;
+pub use vpir_mechanism as mechanism;
 pub use vpir_mem as mem;
 pub use vpir_predict as predict;
 pub use vpir_redundancy as redundancy;
 pub use vpir_reuse as reuse;
+pub use vpir_serve as serve;
 pub use vpir_stats as stats;
 pub use vpir_workloads as workloads;

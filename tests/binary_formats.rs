@@ -38,7 +38,11 @@ fn image_roundtrip_simulates_identically_on_the_pipeline() {
     a.run(RunLimits::cycles(1_000_000));
     b.run(RunLimits::cycles(1_000_000));
     assert!(a.halted() && b.halted());
-    assert_eq!(a.stats().cycles, b.stats().cycles, "timing must be identical");
+    assert_eq!(
+        a.stats().cycles,
+        b.stats().cycles,
+        "timing must be identical"
+    );
     assert_eq!(a.stats().reused_full, b.stats().reused_full);
     for i in 0..vpir::isa::NUM_REGS {
         let r = Reg::from_index(i);

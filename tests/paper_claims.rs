@@ -35,7 +35,12 @@ fn hm_speedup(m: &Matrix, f: impl Fn(&vpir_bench::BenchRuns) -> f64) -> f64 {
 fn every_benchmark_produces_work_under_every_run() {
     let m = matrix();
     for r in &m.runs {
-        assert!(r.base.committed > 10_000, "{}: {}", r.bench.name(), r.base.committed);
+        assert!(
+            r.base.committed > 10_000,
+            "{}: {}",
+            r.bench.name(),
+            r.base.committed
+        );
         assert!(r.ir_early.committed > 10_000, "{}", r.bench.name());
         assert_eq!(r.vp.len(), 16, "{}", r.bench.name());
         assert!(r.limit.total > 5_000, "{}", r.bench.name());
@@ -73,7 +78,10 @@ fn figure4_ir_resolves_branches_earlier_than_base_and_vp() {
             ir_wins += 1;
         }
     }
-    assert!(ir_wins >= 5, "IR should cut branch resolution latency on most benchmarks ({ir_wins}/7)");
+    assert!(
+        ir_wins >= 5,
+        "IR should cut branch resolution latency on most benchmarks ({ir_wins}/7)"
+    );
 }
 
 #[test]
@@ -87,7 +95,10 @@ fn figure4_nsb_resolves_later_than_sb() {
             holds += 1;
         }
     }
-    assert!(holds >= 5, "NSB must delay resolution on most benchmarks ({holds}/7)");
+    assert!(
+        holds >= 5,
+        "NSB must delay resolution on most benchmarks ({holds}/7)"
+    );
 }
 
 #[test]
@@ -213,13 +224,21 @@ fn figure10_most_redundancy_is_reusable() {
             high += 1;
         }
     }
-    assert!(high >= 5, "most benchmarks should be above 60% reusable ({high}/7)");
+    assert!(
+        high >= 5,
+        "most benchmarks should be above 60% reusable ({high}/7)"
+    );
 }
 
 #[test]
 fn table3_signatures_hold() {
     let m = matrix();
-    let by_name = |name: &str| m.runs.iter().find(|r| r.bench.name() == name).expect("bench");
+    let by_name = |name: &str| {
+        m.runs
+            .iter()
+            .find(|r| r.bench.name() == name)
+            .expect("bench")
+    };
     // m88ksim (interpreter) has the highest result-reuse rate.
     let m88 = by_name("m88ksim").ir_early.reuse_result_rate();
     for r in &m.runs {
@@ -237,7 +256,10 @@ fn table3_signatures_hold() {
         .iter()
         .filter(|r| r.ir_early.reuse_result_rate() < ijpeg - 1e-9)
         .count();
-    assert!(lower <= 1, "ijpeg should be at or near the bottom ({lower} below)");
+    assert!(
+        lower <= 1,
+        "ijpeg should be at or near the bottom ({lower} below)"
+    );
     // go has the worst branch prediction; vortex/perl among the best.
     let go = by_name("go").base.branch_pred_rate();
     for r in &m.runs {
