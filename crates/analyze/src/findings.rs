@@ -8,7 +8,9 @@ use std::fmt::Write as _;
 /// The ids R1 (determinism), R6 (wall clock) and R8 (panic
 /// reachability) are retired: clippy's `disallowed_types` and panic
 /// lints enforce them, configured in `clippy.toml` and at each crate
-/// root. The remaining ids keep their numbers.
+/// root. R5 (counter width) is retired too: the `vpir_stats::counters!`
+/// table that declares every stats struct accepts only `u64` fields.
+/// The remaining ids keep their numbers.
 ///
 /// The host rules are emitted by `vpir-analyze` over the workspace; the
 /// guest lints are emitted by `vpir-isa-analyze` over assembled
@@ -17,12 +19,10 @@ use std::fmt::Write as _;
 pub enum Rule {
     /// R2 — panic-free crates must not index with integer literals.
     Panic,
-    /// R3 — every stats field must be updated and surfaced in a report.
+    /// R3 — every stats field must be updated somewhere.
     Stats,
     /// R4 — every config field must be read outside its definition.
     Config,
-    /// R5 — stat counters must be u64 (no silently wrapping widths).
-    Counter,
     /// R7 — cycle-level hot state must be columnar, not `Vec<Option<…>>`.
     Columnar,
     /// R9 — spawned closures must not race on shared mutable captures,
@@ -47,7 +47,6 @@ impl Rule {
             Rule::Panic => "R2",
             Rule::Stats => "R3",
             Rule::Config => "R4",
-            Rule::Counter => "R5",
             Rule::Columnar => "R7",
             Rule::Concurrency => "R9",
             Rule::LockOrder => "R10",
@@ -64,7 +63,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Stats => "stats",
             Rule::Config => "config",
-            Rule::Counter => "counter",
             Rule::Columnar => "columnar",
             Rule::Concurrency => "concurrency",
             Rule::LockOrder => "lock-order",
@@ -256,7 +254,7 @@ mod tests {
     #[test]
     fn text_mentions_counts() {
         let report = Report {
-            findings: vec![finding(Rule::Counter, Some("legacy"))],
+            findings: vec![finding(Rule::Stats, Some("legacy"))],
             files_scanned: 2,
         };
         let text = report.to_text();

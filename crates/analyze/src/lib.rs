@@ -9,10 +9,9 @@
 //!   and panic-macro lints, denied at those crate roots, cover the
 //!   rest of panic-freedom.
 //! - **R3 stats discipline** — every `*Stats` field must be updated
-//!   somewhere and surfaced by a report.
+//!   somewhere.
 //! - **R4 config discipline** — every config field must be read
 //!   outside its definition.
-//! - **R5 counter safety** — stat counters must be `u64`.
 //! - **R7 columnar hot state** — no `Vec<Option<…>>` fields in
 //!   cycle-level crates outside the ROB column module.
 //! - **R9 concurrency determinism** and **R10 lock order** — the
@@ -20,6 +19,11 @@
 //!
 //! Determinism (R1) and wall-clock freedom (R6) are clippy's
 //! `disallowed_types`, configured in the workspace `clippy.toml`.
+//! Counter width (R5) and "every counter reaches the job files" (R3's
+//! former second half) hold by construction: every stats struct is
+//! declared through the `vpir_stats::counters!` table, which accepts
+//! only `u64`, `[u64; N]` and nested table fields and which the job
+//! serializer walks field by field.
 //!
 //! A finding is suppressed (recorded but not fatal) by appending
 //! `// vpir: allow(rule, reason)` to the offending line. `vpir analyze`

@@ -5,7 +5,6 @@
 //! | R2 | panic    | [`PANIC_CRATES`]: literal indexing only        |
 //! | R3 | stats    | `*Stats` structs in core + stats crates        |
 //! | R4 | config   | `crates/core/src/config.rs` fields             |
-//! | R5 | counter  | same structs as R3                             |
 //! | R7 | columnar | [`CYCLE_CRATES`] minus the column module       |
 //!
 //! Cycle-level crates are the ones whose state evolves per simulated
@@ -16,9 +15,12 @@
 //! index clippy can only express together with every computed one.
 //! Determinism (R1) and wall-clock freedom (R6) are clippy's
 //! `disallowed_types`, configured in the workspace `clippy.toml` and
-//! denied at each [`CYCLE_CRATES`] root. R3–R5 keep the measurement
-//! layer honest: a counter that is never updated, never reported, or
-//! silently truncated produces plausible-looking but wrong tables.
+//! denied at each [`CYCLE_CRATES`] root. R3 and R4 keep the
+//! measurement layer honest: a counter that is never updated, or a knob
+//! that changes nothing, produces plausible-looking but wrong tables.
+//! That every counter is `u64` and reaches the job files is not a rule
+//! here: the `vpir_stats::counters!` table declares each stats struct
+//! and admits no other field type.
 
 use crate::findings::{Finding, Rule};
 use crate::lexer::SourceLine;
@@ -84,7 +86,6 @@ pub fn run_all(files: &[File]) -> Vec<Finding> {
     }
     stats_discipline(files, &mut findings);
     config_discipline(files, &mut findings);
-    counter_safety(files, &mut findings);
     findings
 }
 
@@ -203,7 +204,7 @@ fn literal_indexes(code: &str) -> Vec<String> {
 }
 
 // ----------------------------------------------------------------
-// Struct parsing shared by R3/R4/R5.
+// Struct parsing shared by R3/R4/R7.
 // ----------------------------------------------------------------
 
 /// One parsed struct field.
@@ -364,7 +365,7 @@ fn live_lines(file: &File) -> impl Iterator<Item = &SourceLine> {
 // R3: stats discipline.
 // ----------------------------------------------------------------
 
-/// Files whose `*Stats` structs are held to R3/R5.
+/// Files whose `*Stats` structs are held to R3.
 fn stats_decl_files(files: &[File]) -> impl Iterator<Item = &File> {
     files
         .iter()
@@ -383,14 +384,6 @@ fn stats_discipline(files: &[File], findings: &mut Vec<Finding>) {
                 live_lines(f)
                     .any(|l| !in_decl(f, l.number) && has_member_access(&l.code, &field.name))
             });
-            // Surfaced: the field participates in the reporting layer —
-            // the declaring file's methods or the bench report.
-            let surfaced = files
-                .iter()
-                .filter(|f| f.path == decl_file.path || f.path == "crates/bench/src/report.rs")
-                .any(|f| {
-                    live_lines(f).any(|l| !in_decl(f, l.number) && has_token(&l.code, &field.name))
-                });
             if !updated {
                 emit(
                     findings,
@@ -400,17 +393,6 @@ fn stats_discipline(files: &[File], findings: &mut Vec<Finding>) {
                     format!(
                         "stats field `{}.{}` is never updated: no `.{}` access outside its declaration",
                         field.struct_name, field.name, field.name
-                    ),
-                );
-            } else if !surfaced {
-                emit(
-                    findings,
-                    Rule::Stats,
-                    decl_file,
-                    field.line,
-                    format!(
-                        "stats field `{}.{}` is never surfaced: unused by {} methods and by crates/bench/src/report.rs",
-                        field.struct_name, field.name, decl_file.path
                     ),
                 );
             }
@@ -442,36 +424,6 @@ fn config_discipline(files: &[File], findings: &mut Vec<Finding>) {
                     field.struct_name, field.name, decl_file.path
                 ),
             );
-        }
-    }
-}
-
-// ----------------------------------------------------------------
-// R5: counter safety.
-// ----------------------------------------------------------------
-
-const NARROW_INTS: [&str; 9] = [
-    "u8", "u16", "u32", "usize", "i8", "i16", "i32", "i64", "isize",
-];
-
-fn counter_safety(files: &[File], findings: &mut Vec<Finding>) {
-    for decl_file in stats_decl_files(files) {
-        let (fields, _) = parse_structs(decl_file);
-        for field in fields.iter().filter(|f| f.struct_name.ends_with("Stats")) {
-            for ty in NARROW_INTS {
-                if has_token(&field.ty, ty) {
-                    emit(
-                        findings,
-                        Rule::Counter,
-                        decl_file,
-                        field.line,
-                        format!(
-                            "stat counter `{}.{}` is `{}`: narrower than u64, long runs overflow silently in release builds",
-                            field.struct_name, field.name, field.ty
-                        ),
-                    );
-                }
-            }
         }
     }
 }
@@ -522,10 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_unused_and_unsurfaced_fields() {
+    fn r3_flags_unused_fields() {
         let stats = file(
             "crates/core/src/stats.rs",
-            "pub struct SimStats {\n    pub used: u64,\n    pub dead: u64,\n}\nimpl SimStats {\n    pub fn report(&self) -> u64 { self.used }\n}\n",
+            "vpir_stats::counters! {\n    pub struct SimStats {\n        pub used: u64,\n        pub dead: u64,\n    }\n}\n",
         );
         let pipeline = file(
             "crates/core/src/pipeline.rs",
@@ -566,24 +518,5 @@ mod tests {
         // Non-cycle crates may use whatever layout they like.
         let cold = run_all(&[file("crates/bench/src/x.rs", src)]);
         assert!(cold.iter().all(|f| f.rule != Rule::Columnar));
-    }
-
-    #[test]
-    fn r5_flags_narrow_counters() {
-        let stats = file(
-            "crates/core/src/stats.rs",
-            "pub struct FooStats {\n    pub wide: u64,\n    pub narrow: u32,\n}\nimpl FooStats { pub fn r(&self) -> u64 { self.wide + self.narrow as u64 } }\n",
-        );
-        let user = file(
-            "crates/core/src/lib.rs",
-            "fn f(s: &S) { s.wide; s.narrow; }\n",
-        );
-        let findings = run_all(&[stats, user]);
-        let r5: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::Counter)
-            .collect();
-        assert_eq!(r5.len(), 1);
-        assert!(r5[0].message.contains("narrow"));
     }
 }

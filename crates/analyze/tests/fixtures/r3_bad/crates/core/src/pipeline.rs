@@ -1,8 +1,7 @@
-//! Updates `hits` and `hidden`, but nothing touches `dead`.
+//! Updates `hits`, but nothing touches `dead`.
 
 use crate::stats::RunStats;
 
 pub fn tick(stats: &mut RunStats) {
     stats.hits += 1;
-    stats.hidden += 1;
 }

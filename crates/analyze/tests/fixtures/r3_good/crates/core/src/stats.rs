@@ -1,13 +1,9 @@
-//! R3 good twin: every field is updated and surfaced.
+//! R3 good twin: every field of the counter table is updated.
 
-#[derive(Default)]
-pub struct RunStats {
-    pub hits: u64,
-    pub misses: u64,
-}
-
-impl RunStats {
-    pub fn report(&self) -> u64 {
-        self.hits + self.misses
+vpir_stats::counters! {
+    #[derive(Default)]
+    pub struct RunStats {
+        pub hits: u64,
+        pub misses: u64,
     }
 }

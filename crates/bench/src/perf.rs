@@ -380,9 +380,11 @@ impl CycleRate {
     /// Returns a human-readable comparison on success and an error when
     /// the current rate has regressed more than `max_regression_pct`
     /// percent below the baseline's `sim_cycles_per_sec` (improvements
-    /// and small regressions pass). The threshold assumes the baseline
-    /// was recorded on comparable hardware; CI pins the canonical
-    /// container for exactly that reason.
+    /// and small regressions pass). A baseline measured over a different
+    /// workload or worker count (`sim_runs`, `jobs`, `scale`,
+    /// `max_cycles`) is refused rather than compared. The threshold
+    /// assumes the baseline was recorded on comparable hardware; CI pins
+    /// the canonical container for exactly that reason.
     pub fn gate(&self, baseline_json: &str, max_regression_pct: u64) -> Result<String, String> {
         let doc = vpir_jsonlite::parse_json(baseline_json)
             .map_err(|e| format!("baseline is not valid JSON: {e}"))?;
@@ -400,6 +402,21 @@ impl CycleRate {
             .ok_or("baseline has no integer sim_cycles_per_sec")?;
         if baseline == 0 {
             return Err("baseline sim_cycles_per_sec is zero".into());
+        }
+        for (key, ours) in [
+            ("sim_runs", self.sim_runs as u64),
+            ("jobs", self.jobs as u64),
+            ("scale", u64::from(self.scale)),
+            ("max_cycles", self.max_cycles),
+        ] {
+            let theirs = doc.get(key).and_then(|v| v.as_u64());
+            if theirs != Some(ours) {
+                let theirs = theirs.map_or("missing".to_string(), |t| t.to_string());
+                return Err(format!(
+                    "baseline is not comparable: {key} is {theirs} there and {ours} here \
+                     (rerun with matching settings or re-record the baseline)"
+                ));
+            }
         }
         let floor = baseline.saturating_mul(100 - max_regression_pct.min(100)) / 100;
         let ratio = self.sim_cycles_per_sec as f64 / baseline as f64;
@@ -525,6 +542,25 @@ mod tests {
         let err = rate(899_999).gate(&baseline, 10).expect_err("regressed");
         assert!(err.contains("regression"), "{err}");
         assert!(err.contains("floor 900000"), "{err}");
+    }
+
+    #[test]
+    fn gate_refuses_a_baseline_measured_differently() {
+        let ours = rate(1_000_000);
+        let mut theirs = [ours.clone(), ours.clone(), ours.clone(), ours.clone()];
+        theirs[0].sim_runs = 147;
+        theirs[1].jobs = 2;
+        theirs[2].scale = 2;
+        theirs[3].max_cycles = 1_000_000;
+        for (baseline, key) in theirs
+            .iter()
+            .zip(["sim_runs", "jobs", "scale", "max_cycles"])
+        {
+            let err = ours.gate(&baseline.to_json(), 10).expect_err(key);
+            assert!(err.contains("not comparable") && err.contains(key), "{err}");
+        }
+        let missing = "{\"schema\": \"vpir-bench-cycles-v1\", \"sim_cycles_per_sec\": 5}";
+        assert!(ours.gate(missing, 10).unwrap_err().contains("missing"));
     }
 
     #[test]

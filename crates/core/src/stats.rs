@@ -8,96 +8,98 @@ use vpir_predict::VptStats;
 use vpir_reuse::ReuseStats;
 use vpir_stats::RtbStats;
 
-/// Counters accumulated over one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Instructions committed (architectural progress).
-    pub committed: u64,
-    /// Instructions dispatched (including wrong path).
-    pub dispatched: u64,
-    /// Execution events on functional units (re-executions count again).
-    pub executions: u64,
+vpir_stats::counters! {
+    /// Counters accumulated over one simulation run.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct SimStats {
+        /// Simulated cycles.
+        pub cycles: u64,
+        /// Instructions committed (architectural progress).
+        pub committed: u64,
+        /// Instructions dispatched (including wrong path).
+        pub dispatched: u64,
+        /// Execution events on functional units (re-executions count again).
+        pub executions: u64,
 
-    // ---- branches ----
-    /// Conditional branches committed.
-    pub branches: u64,
-    /// Committed conditional branches whose fetch-time direction
-    /// prediction was wrong.
-    pub branch_mispredicts: u64,
-    /// Committed returns (`jr ra`).
-    pub returns: u64,
-    /// Committed returns whose predicted target was wrong.
-    pub return_mispredicts: u64,
-    /// Squash events (each control-flow repair; spurious value-induced
-    /// squashes count here too).
-    pub squashes: u64,
-    /// Squash events caused by branches resolving on value-speculative
-    /// operands that later turned out correct (spurious squashes).
-    pub spurious_squashes: u64,
-    /// Sum over committed control instructions of
-    /// `resolve_cycle - dispatch_cycle` (branch resolution latency,
-    /// Figure 4).
-    pub branch_resolution_latency_sum: u64,
-    /// Number of committed control instructions in the above sum.
-    pub branch_resolution_count: u64,
-    /// Instructions that had executed at least once when a squash
-    /// discarded them (Table 5 numerator base).
-    pub squashed_executed: u64,
-    /// Committed instructions whose reuse hit an RB entry written by a
-    /// control-squashed instruction (Table 5 "recovered").
-    pub squash_recovered: u64,
+        // ---- branches ----
+        /// Conditional branches committed.
+        pub branches: u64,
+        /// Committed conditional branches whose fetch-time direction
+        /// prediction was wrong.
+        pub branch_mispredicts: u64,
+        /// Committed returns (`jr ra`).
+        pub returns: u64,
+        /// Committed returns whose predicted target was wrong.
+        pub return_mispredicts: u64,
+        /// Squash events (each control-flow repair; spurious value-induced
+        /// squashes count here too).
+        pub squashes: u64,
+        /// Squash events caused by branches resolving on value-speculative
+        /// operands that later turned out correct (spurious squashes).
+        pub spurious_squashes: u64,
+        /// Sum over committed control instructions of
+        /// `resolve_cycle - dispatch_cycle` (branch resolution latency,
+        /// Figure 4).
+        pub branch_resolution_latency_sum: u64,
+        /// Number of committed control instructions in the above sum.
+        pub branch_resolution_count: u64,
+        /// Instructions that had executed at least once when a squash
+        /// discarded them (Table 5 numerator base).
+        pub squashed_executed: u64,
+        /// Committed instructions whose reuse hit an RB entry written by a
+        /// control-squashed instruction (Table 5 "recovered").
+        pub squash_recovered: u64,
 
-    // ---- value prediction ----
-    /// Committed result-producing instructions.
-    pub result_producers: u64,
-    /// Committed instructions whose result was predicted.
-    pub result_predicted: u64,
-    /// ... of which the prediction was correct.
-    pub result_pred_correct: u64,
-    /// Committed memory operations.
-    pub mem_ops: u64,
-    /// Committed loads whose effective address was predicted.
-    pub addr_predicted: u64,
-    /// ... of which the prediction was correct.
-    pub addr_pred_correct: u64,
-    /// Histogram of per-instruction execution counts at commit:
-    /// `[never, once, twice, three or more]`.
-    pub exec_histogram: [u64; 4],
+        // ---- value prediction ----
+        /// Committed result-producing instructions.
+        pub result_producers: u64,
+        /// Committed instructions whose result was predicted.
+        pub result_predicted: u64,
+        /// ... of which the prediction was correct.
+        pub result_pred_correct: u64,
+        /// Committed memory operations.
+        pub mem_ops: u64,
+        /// Committed loads whose effective address was predicted.
+        pub addr_predicted: u64,
+        /// ... of which the prediction was correct.
+        pub addr_pred_correct: u64,
+        /// Histogram of per-instruction execution counts at commit:
+        /// `[never, once, twice, three or more]`.
+        pub exec_histogram: [u64; 4],
 
-    // ---- instruction reuse ----
-    /// Committed instructions whose full result was reused.
-    pub reused_full: u64,
-    /// Committed memory operations whose effective address came from the
-    /// RB (includes fully reused memory operations).
-    pub reused_addr: u64,
+        // ---- instruction reuse ----
+        /// Committed instructions whose full result was reused.
+        pub reused_full: u64,
+        /// Committed memory operations whose effective address came from the
+        /// RB (includes fully reused memory operations).
+        pub reused_addr: u64,
 
-    // ---- resources ----
-    /// Requests for a functional unit by ready instructions.
-    pub fu_requests: u64,
-    /// ... that were denied (unit busy or issue slot exhausted).
-    pub fu_denials: u64,
-    /// Data-cache port requests.
-    pub port_requests: u64,
-    /// ... that were denied.
-    pub port_denials: u64,
+        // ---- resources ----
+        /// Requests for a functional unit by ready instructions.
+        pub fu_requests: u64,
+        /// ... that were denied (unit busy or issue slot exhausted).
+        pub fu_denials: u64,
+        /// Data-cache port requests.
+        pub port_requests: u64,
+        /// ... that were denied.
+        pub port_denials: u64,
 
-    // ---- substructures ----
-    /// Instruction-cache hit/miss counters.
-    pub icache: CacheStats,
-    /// Data-cache hit/miss counters.
-    pub dcache: CacheStats,
-    /// Result-VPT counters (zero when VP is off).
-    pub vpt_result: VptStats,
-    /// Address-VPT counters (zero when address prediction is off).
-    pub vpt_addr: VptStats,
-    /// Reuse-buffer counters (zero when IR is off).
-    pub rb: ReuseStats,
-    /// Trace-reuse counters (zero when the RTB is off), including the
-    /// per-instruction-class and per-loop-depth attribution of committed
-    /// trace members.
-    pub rtb: RtbStats,
+        // ---- substructures ----
+        /// Instruction-cache hit/miss counters.
+        pub icache: CacheStats,
+        /// Data-cache hit/miss counters.
+        pub dcache: CacheStats,
+        /// Result-VPT counters (zero when VP is off).
+        pub vpt_result: VptStats,
+        /// Address-VPT counters (zero when address prediction is off).
+        pub vpt_addr: VptStats,
+        /// Reuse-buffer counters (zero when IR is off).
+        pub rb: ReuseStats,
+        /// Trace-reuse counters (zero when the RTB is off), including the
+        /// per-instruction-class and per-loop-depth attribution of committed
+        /// trace members.
+        pub rtb: RtbStats,
+    }
 }
 
 impl SimStats {
@@ -115,7 +117,8 @@ impl SimStats {
         if self.branches == 0 {
             0.0
         } else {
-            100.0 * (self.branches - self.branch_mispredicts) as f64 / self.branches as f64
+            100.0 * self.branches.saturating_sub(self.branch_mispredicts) as f64
+                / self.branches as f64
         }
     }
 
@@ -124,7 +127,8 @@ impl SimStats {
         if self.returns == 0 {
             100.0
         } else {
-            100.0 * (self.returns - self.return_mispredicts) as f64 / self.returns as f64
+            100.0 * self.returns.saturating_sub(self.return_mispredicts) as f64
+                / self.returns as f64
         }
     }
 
@@ -146,7 +150,8 @@ impl SimStats {
     /// Percent of committed instructions value predicted *incorrectly*.
     pub fn vp_result_mispred_rate(&self) -> f64 {
         pct(
-            self.result_predicted - self.result_pred_correct,
+            self.result_predicted
+                .saturating_sub(self.result_pred_correct),
             self.committed,
         )
     }
@@ -158,7 +163,10 @@ impl SimStats {
 
     /// Percent of committed memory ops with mispredicted address.
     pub fn vp_addr_mispred_rate(&self) -> f64 {
-        pct(self.addr_predicted - self.addr_pred_correct, self.mem_ops)
+        pct(
+            self.addr_predicted.saturating_sub(self.addr_pred_correct),
+            self.mem_ops,
+        )
     }
 
     /// Mean branch-resolution latency in cycles (Figure 4).
@@ -412,6 +420,30 @@ mod tests {
         assert!(r.contains("load 3"));
         assert!(r.contains("depth1 10"));
         assert!(r.contains("depth4+ 2"));
+    }
+
+    /// A resumed job file is not checked for consistency, so a part can
+    /// exceed its whole; the rates stay finite instead of underflowing.
+    #[test]
+    fn rates_are_total_when_a_part_exceeds_its_whole() {
+        let s = SimStats {
+            committed: 10,
+            mem_ops: 10,
+            branches: 1,
+            branch_mispredicts: 2,
+            returns: 1,
+            return_mispredicts: 2,
+            result_predicted: 1,
+            result_pred_correct: 2,
+            addr_predicted: 1,
+            addr_pred_correct: 2,
+            ..SimStats::default()
+        };
+        assert_eq!(s.branch_pred_rate(), 0.0);
+        assert_eq!(s.return_pred_rate(), 0.0);
+        assert_eq!(s.vp_result_mispred_rate(), 0.0);
+        assert_eq!(s.vp_addr_mispred_rate(), 0.0);
+        assert!(s.report().contains("0.0% predicted"));
     }
 
     #[test]

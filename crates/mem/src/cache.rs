@@ -52,15 +52,17 @@ pub struct AccessOutcome {
     pub ready_cycle: u64,
 }
 
-/// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand accesses that hit.
-    pub hits: u64,
-    /// Demand accesses that missed (primary misses).
-    pub misses: u64,
-    /// Misses that merged into an outstanding MSHR (secondary misses).
-    pub mshr_merges: u64,
+vpir_stats::counters! {
+    /// Hit/miss counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Demand accesses that hit.
+        pub hits: u64,
+        /// Demand accesses that missed (primary misses).
+        pub misses: u64,
+        /// Misses that merged into an outstanding MSHR (secondary misses).
+        pub mshr_merges: u64,
+    }
 }
 
 impl CacheStats {

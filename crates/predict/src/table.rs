@@ -27,17 +27,19 @@ impl VptConfig {
     }
 }
 
-/// Lookup/training counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VptStats {
-    /// Total prediction lookups.
-    pub lookups: u64,
-    /// Lookups that produced a prediction.
-    pub predictions: u64,
-    /// Training updates.
-    pub trainings: u64,
-    /// Entries newly allocated (capacity misses on training).
-    pub allocations: u64,
+vpir_stats::counters! {
+    /// Lookup/training counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct VptStats {
+        /// Total prediction lookups.
+        pub lookups: u64,
+        /// Lookups that produced a prediction.
+        pub predictions: u64,
+        /// Training updates.
+        pub trainings: u64,
+        /// Entries newly allocated (capacity misses on training).
+        pub allocations: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

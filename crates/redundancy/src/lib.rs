@@ -72,32 +72,34 @@ impl Default for LimitConfig {
     }
 }
 
-/// Results of the limit study.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LimitStudy {
-    /// Result-producing dynamic instructions observed.
-    pub total: u64,
-    /// Figure 8: first-time results.
-    pub unique: u64,
-    /// Figure 8: results produced before by the same static instruction.
-    pub repeated: u64,
-    /// Figure 8: results on a detected stride.
-    pub derivable: u64,
-    /// Figure 8: instances beyond the buffering cap.
-    pub unaccounted: u64,
-    /// Figure 9: repeated, with at least one producer itself reused (and
-    /// all inputs ready).
-    pub rep_producers_reused: u64,
-    /// Figure 9: repeated, unreused producers at distance ≥ window.
-    pub rep_ready_far: u64,
-    /// Figure 9: repeated, some unreused producer closer than the window
-    /// (inputs not ready at an early reuse test).
-    pub rep_not_ready: u64,
-    /// Repeated instructions whose exact operand values never occurred
-    /// together before (not reusable despite the repeated result).
-    pub rep_different_inputs: u64,
-    /// Figure 10: repeated instructions that pass the reuse conditions.
-    pub reusable: u64,
+vpir_stats::counters! {
+    /// Results of the limit study.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LimitStudy {
+        /// Result-producing dynamic instructions observed.
+        pub total: u64,
+        /// Figure 8: first-time results.
+        pub unique: u64,
+        /// Figure 8: results produced before by the same static instruction.
+        pub repeated: u64,
+        /// Figure 8: results on a detected stride.
+        pub derivable: u64,
+        /// Figure 8: instances beyond the buffering cap.
+        pub unaccounted: u64,
+        /// Figure 9: repeated, with at least one producer itself reused (and
+        /// all inputs ready).
+        pub rep_producers_reused: u64,
+        /// Figure 9: repeated, unreused producers at distance ≥ window.
+        pub rep_ready_far: u64,
+        /// Figure 9: repeated, some unreused producer closer than the window
+        /// (inputs not ready at an early reuse test).
+        pub rep_not_ready: u64,
+        /// Repeated instructions whose exact operand values never occurred
+        /// together before (not reusable despite the repeated result).
+        pub rep_different_inputs: u64,
+        /// Figure 10: repeated instructions that pass the reuse conditions.
+        pub reusable: u64,
+    }
 }
 
 impl LimitStudy {

@@ -150,27 +150,29 @@ pub struct Reused {
     pub full: bool,
 }
 
-/// Event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReuseStats {
-    /// New entries written.
-    pub inserts: u64,
-    /// Existing entries refreshed in place.
-    pub updates: u64,
-    /// Entries evicted for capacity.
-    pub evictions: u64,
-    /// Entries invalidated by a register overwrite.
-    pub reg_invalidations: u64,
-    /// Entries whose operand value became current again.
-    pub revalidations: u64,
-    /// Load entries whose memory-valid bit a store cleared.
-    pub mem_invalidations: u64,
-    /// Successful full reuses.
-    pub full_reuses: u64,
-    /// Successful address-only reuses.
-    pub addr_reuses: u64,
-    /// Reuse tests that failed.
-    pub misses: u64,
+vpir_stats::counters! {
+    /// Event counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReuseStats {
+        /// New entries written.
+        pub inserts: u64,
+        /// Existing entries refreshed in place.
+        pub updates: u64,
+        /// Entries evicted for capacity.
+        pub evictions: u64,
+        /// Entries invalidated by a register overwrite.
+        pub reg_invalidations: u64,
+        /// Entries whose operand value became current again.
+        pub revalidations: u64,
+        /// Load entries whose memory-valid bit a store cleared.
+        pub mem_invalidations: u64,
+        /// Successful full reuses.
+        pub full_reuses: u64,
+        /// Successful address-only reuses.
+        pub addr_reuses: u64,
+        /// Reuse tests that failed.
+        pub misses: u64,
+    }
 }
 
 #[derive(Debug, Clone)]

@@ -5,9 +5,10 @@
 //! `floor(log2(v)) + 1` (bucket 0 holds `v == 0`), so bucket `i >= 1`
 //! covers `[2^(i-1), 2^i)` and 64 buckets span the full u64 range.
 //! Percentiles are reported as the *upper bound* of the bucket holding
-//! the requested rank (`2^i - 1`): a deterministic, allocation-free
-//! answer whose error is bounded by the bucket's width — exactly the
-//! trade the paper's own log-scaled tables make.
+//! the requested rank (`2^i - 1`), clamped to the exact maximum: a
+//! deterministic, allocation-free answer whose error is bounded by the
+//! bucket's width and that never exceeds a sample actually observed —
+//! exactly the trade the paper's own log-scaled tables make.
 //!
 //! # Atomic-ordering contract
 //!
@@ -99,8 +100,9 @@ impl Histogram {
     }
 
     /// The value at quantile `num/den` (e.g. `percentile(999, 1000)`
-    /// is p99.9), reported as the holding bucket's upper bound.
-    /// Integer math throughout; returns 0 for an empty histogram.
+    /// is p99.9), reported as the holding bucket's upper bound clamped
+    /// to [`Histogram::max`]. Integer math throughout; returns 0 for an
+    /// empty histogram.
     pub fn percentile(&self, num: u64, den: u64) -> u64 {
         let count = self.count();
         if count == 0 || den == 0 {
@@ -122,12 +124,12 @@ impl Histogram {
             }
             cumulative = cumulative.saturating_add(n);
             if cumulative >= rank {
-                return Self::upper_bound(i);
+                return Self::upper_bound(i).min(self.max());
             }
         }
         // `count` raced ahead of the bucket writes: answer from the
         // highest bucket that has data rather than underreporting.
-        Self::upper_bound(last_nonempty)
+        Self::upper_bound(last_nonempty).min(self.max())
     }
 
     /// p50 of the recorded samples.
@@ -173,9 +175,10 @@ mod tests {
         assert_eq!(h.max(), 1000);
         // rank 500 falls in bucket [256, 512) whose upper bound is 511.
         assert_eq!(h.p50(), 511);
-        // rank 990 and rank 1000 both fall in bucket [512, 1024).
-        assert_eq!(h.p99(), 1023);
-        assert_eq!(h.p999(), 1023);
+        // rank 990 and rank 1000 both fall in bucket [512, 1024), whose
+        // upper bound clamps to the observed maximum.
+        assert_eq!(h.p99(), 1000);
+        assert_eq!(h.p999(), 1000);
     }
 
     #[test]
@@ -192,10 +195,24 @@ mod tests {
         assert_eq!(h.p99(), 127, "rank 990 is still a fast sample");
         assert_eq!(
             h.p999(),
-            (1u64 << 20) - 1,
-            "the p99.9 rank lands in the slow tail"
+            1_000_000,
+            "the p99.9 rank lands in the slow tail, clamped to the max"
         );
         assert_eq!(h.max(), 1_000_000);
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_observed_max() {
+        let h = Histogram::new();
+        for _ in 0..100 {
+            h.record(48_063);
+        }
+        // Bucket [32768, 65536) holds every sample; its upper bound
+        // would report 65,535.
+        assert_eq!(h.p50(), 48_063);
+        assert_eq!(h.p99(), 48_063);
+        assert_eq!(h.p999(), 48_063);
+        assert_eq!(h.max(), 48_063);
     }
 
     #[test]

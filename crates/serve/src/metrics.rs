@@ -460,8 +460,8 @@ mod tests {
         assert!(text.contains("# TYPE vpir_shed_state gauge"), "{text}");
         assert!(text.contains("vpir_store_quarantined_total 0"), "{text}");
         assert!(text.contains("vpir_latency_run_count 1"), "{text}");
-        assert!(text.contains("vpir_latency_run_p50_micros 511"), "{text}");
-        assert!(text.contains("vpir_latency_other_p99_micros 7"), "{text}");
+        assert!(text.contains("vpir_latency_run_p50_micros 300"), "{text}");
+        assert!(text.contains("vpir_latency_other_p99_micros 5"), "{text}");
         assert!(
             text.contains("# HELP vpir_sim_cycles_per_second "),
             "{text}"

@@ -4,6 +4,9 @@
 //! the paper reports harmonic means over benchmarks (Figures 3, 6, 7) and
 //! fixed-width tables; this crate renders both.
 //!
+//! It also holds the counter table, [`counters!`], through which every
+//! simulator stats struct is declared (see [`Counters`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -24,8 +27,10 @@
 )]
 #![warn(missing_docs)]
 
+mod counters;
 mod table;
 
+pub use counters::{Counters, Field, Node, NodeMut};
 pub use table::{AsciiBars, Table};
 
 /// The harmonic mean of a sequence of positive values.
@@ -120,44 +125,46 @@ impl PcStats {
     }
 }
 
-/// Trace-reuse (RTB) counters, collected by the trace-reuse mechanism
-/// and surfaced through `SimStats`.
-///
-/// Capture pipeline: dispatched straight-line runs become *captured*
-/// pendings; pendings whose members all commit are *installed* into the
-/// RTB (or *dropped* when a partially-overlapping in-trace store makes
-/// a member load unclassifiable); pendings with a squashed member are
-/// *pending_squashed* — the wrong-path-invalidation guarantee. Replay:
-/// a validated dispatch-time hit counts one *replay* and
-/// `replayed_insts` members; a member whose recorded outcome disagrees
-/// with the functional recomputation *aborts* the rest of the replay
-/// (the member then dispatches normally — soundness never depends on
-/// the recording). `committed_reused` attributes committed trace
-/// members by instruction class (`per_class`, `OpClass` declaration
-/// order) and by natural-loop nesting depth (`per_depth`, depths ≥ 4
-/// share the last bucket).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RtbStats {
-    /// Trace captures finalized into the pending queue.
-    pub captured: u64,
-    /// Pending captures discarded because a member was squashed.
-    pub pending_squashed: u64,
-    /// Pending captures installed into the RTB at commit.
-    pub installed: u64,
-    /// Pending captures dropped at install (unclassifiable member load).
-    pub dropped: u64,
-    /// Validated dispatch-time trace replays granted.
-    pub replays: u64,
-    /// Trace members dispatched under a granted replay.
-    pub replayed_insts: u64,
-    /// Replays cut short by a member guard failure.
-    pub aborted: u64,
-    /// Committed instructions that were replayed trace members.
-    pub committed_reused: u64,
-    /// `committed_reused` by instruction class (`OpClass` order).
-    pub per_class: [u64; 9],
-    /// `committed_reused` by natural-loop nesting depth (0–3, then 4+).
-    pub per_depth: [u64; 5],
+counters! {
+    /// Trace-reuse (RTB) counters, collected by the trace-reuse mechanism
+    /// and surfaced through `SimStats`.
+    ///
+    /// Capture pipeline: dispatched straight-line runs become *captured*
+    /// pendings; pendings whose members all commit are *installed* into the
+    /// RTB (or *dropped* when a partially-overlapping in-trace store makes
+    /// a member load unclassifiable); pendings with a squashed member are
+    /// *pending_squashed* — the wrong-path-invalidation guarantee. Replay:
+    /// a validated dispatch-time hit counts one *replay* and
+    /// `replayed_insts` members; a member whose recorded outcome disagrees
+    /// with the functional recomputation *aborts* the rest of the replay
+    /// (the member then dispatches normally — soundness never depends on
+    /// the recording). `committed_reused` attributes committed trace
+    /// members by instruction class (`per_class`, `OpClass` declaration
+    /// order) and by natural-loop nesting depth (`per_depth`, depths ≥ 4
+    /// share the last bucket).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RtbStats {
+        /// Trace captures finalized into the pending queue.
+        pub captured: u64,
+        /// Pending captures discarded because a member was squashed.
+        pub pending_squashed: u64,
+        /// Pending captures installed into the RTB at commit.
+        pub installed: u64,
+        /// Pending captures dropped at install (unclassifiable member load).
+        pub dropped: u64,
+        /// Validated dispatch-time trace replays granted.
+        pub replays: u64,
+        /// Trace members dispatched under a granted replay.
+        pub replayed_insts: u64,
+        /// Replays cut short by a member guard failure.
+        pub aborted: u64,
+        /// Committed instructions that were replayed trace members.
+        pub committed_reused: u64,
+        /// `committed_reused` by instruction class (`OpClass` order).
+        pub per_class: [u64; 9],
+        /// `committed_reused` by natural-loop nesting depth (0–3, then 4+).
+        pub per_depth: [u64; 5],
+    }
 }
 
 impl RtbStats {

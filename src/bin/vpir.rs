@@ -56,7 +56,7 @@
 //!
 //! `analyze` runs the *host*-code analyzer over the workspace's own
 //! Rust sources: the simulator invariants clippy cannot express (R2
-//! literal indexing, R3–R5 stats/config/counter discipline, R7
+//! literal indexing, R3/R4 stats/config discipline, R7
 //! columnar hot state) plus the interprocedural passes R9
 //! (concurrency-determinism) and R10 (lock-order). SARIF 2.1.0 output
 //! is available for CI upload, and `--call-graph FN` dumps the
